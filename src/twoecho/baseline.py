@@ -150,21 +150,30 @@ def gap_percent(tsp_obj: float, obj: float) -> float:
     return 100.0 * (tsp_obj - obj) / tsp_obj
 
 
-def compare_mode(inst: Instance, speeds, fleet_sizes, cfg) -> list[RunReport]:
+def check_coincident(inst: Instance) -> None:
+    """Raise ``ValueError`` unless customer k sits on truck node k + 1 for
+    every non-depot node, so a stop can serve its own customer with a
+    zero-length flight."""
+    if inst.m != inst.n - 1:
+        raise ValueError(f"{inst.m} customers for {inst.n - 1} non-depot truck nodes")
+    for k, c in enumerate(inst.customers):
+        if euclidean(inst.truck_nodes[k + 1], c) > 1e-12:
+            raise ValueError(f"customer {k} does not coincide with truck node {k + 1}")
+
+
+def compare_mode(
+    inst: Instance, speeds, fleet_sizes, cfg, tsp: TspResult | None = None
+) -> list[RunReport]:
     """One multi-trip run per (drone speed, fleet size) against the TSP tour.
 
-    ``inst`` must be a coincident instance: every non-depot node doubles as a
-    customer at the same coordinates, so a stop can serve its own customer
-    with a zero-length flight.
+    ``inst`` must be a coincident instance (see :func:`check_coincident`).
+    ``tsp`` is the truck-only tour over its nodes, solved here when omitted.
     """
     from .grasp import run as grasp_run
 
-    for k, c in enumerate(inst.customers):
-        node = inst.truck_nodes[k + 1]
-        if euclidean(node, c) > 1e-12:
-            raise ValueError(f"customer {k} does not coincide with truck node {k + 1}")
-
-    tsp = solve_tsp(inst.truck_nodes, inst.truck_speed)
+    check_coincident(inst)
+    if tsp is None:
+        tsp = solve_tsp(inst.truck_nodes, inst.truck_speed)
     rows: list[RunReport] = []
     for vd in speeds:
         for u in fleet_sizes:

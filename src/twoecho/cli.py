@@ -28,8 +28,44 @@ from .model import (
 CSV_HEADER = ["Data", "vt", "vd", "u", "TSP", "Vt", "Obj", "Td", "Tt", "Gap", "Time"]
 
 
-def _default_threads() -> int:
-    return int(os.environ.get("TWOECHO_THREADS", "1"))
+class UsageError(TwoEchoError):
+    """Bad command-line input; reported in one line with exit code 2."""
+
+
+def _at_least_one(name: str, value: int) -> int:
+    if value < 1:
+        raise UsageError(f"{name} must be at least 1, got {value}")
+    return value
+
+
+def _threads(args) -> int:
+    if args.threads is not None:
+        return _at_least_one("--threads", args.threads)
+    raw = os.environ.get("TWOECHO_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise UsageError(f"TWOECHO_THREADS must be an integer, got {raw!r}") from None
+    return _at_least_one("TWOECHO_THREADS", threads)
+
+
+def _variant(text: str) -> Variant:
+    try:
+        return Variant.parse(text)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
+
+
+def _grasp_config(args, variant: Variant, time_limit: float | None = None) -> grasp.GraspConfig:
+    if time_limit is not None and not time_limit > 0:
+        raise UsageError(f"--time-limit must be positive, got {time_limit}")
+    return grasp.GraspConfig(
+        variant=variant,
+        n_max=_at_least_one("--iters", args.iters),
+        seed=args.seed,
+        time_limit=time_limit,
+        threads=_threads(args),
+    )
 
 
 def _int_list(text: str) -> list[int]:
@@ -66,7 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--trace", action="store_true", help="log every accepted local-search move")
+    p.add_argument(
+        "--trace",
+        action="store_true",
+        help="log every accepted local-search move, once per distinct start",
+    )
     p.add_argument("--out", help="solution JSON path")
     p.add_argument("--report", help="report JSON path")
 
@@ -149,19 +189,14 @@ def _trace_hook(name: str, delta: float):
 
 
 def _cmd_solve(args) -> int:
+    cfg = _grasp_config(args, _variant(args.variant), args.time_limit)
     inst = load_instance(args.instance)
-    cfg = grasp.GraspConfig(
-        variant=Variant.parse(args.variant),
-        n_max=args.iters,
-        seed=args.seed,
-        time_limit=args.time_limit,
-        threads=args.threads if args.threads is not None else _default_threads(),
-    )
     best, report = grasp.run(inst, cfg, on_move=_trace_hook if args.trace else None)
     print(
         f"{inst.name} [{cfg.variant.value}] obj={report.objective:.6f} h "
         f"(travel {report.travel_time:.6f} + wait {report.wait_time:.6f}), "
-        f"stops={report.visited}, iters={report.iterations}, {report.wall_time:.2f}s"
+        f"stops={report.visited}, iters={report.iterations} "
+        f"({report.repeated_starts} repeated starts), {report.wall_time:.2f}s"
     )
     if args.out:
         save_solution(best, args.out)
@@ -174,7 +209,7 @@ def _cmd_exact(args) -> int:
     inst = load_instance(args.instance)
     mats = build_time_matrices(inst)
     limits = exact.ExactLimits(args.max_nodes, args.max_customers, args.max_drones)
-    result = exact.solve_exact(inst, mats, Variant.parse(args.variant), limits)
+    result = exact.solve_exact(inst, mats, _variant(args.variant), limits)
     print(
         f"{inst.name} optimum {result.objective:.6f} h "
         f"({result.proof.subsets} subsets, {result.proof.assignments} improving leaves)"
@@ -191,7 +226,7 @@ def _cmd_export_milp(args) -> int:
         exact.export_umin_milp(inst, mats, args.out)
         print(f"wrote minimum-fleet model -> {args.out}")
         return 0
-    variant = Variant.parse(args.model)
+    variant = _variant(args.model)
     big_m = args.big_m
     if big_m is None:
         cfg = grasp.GraspConfig(variant=variant, n_max=200, seed=0)
@@ -205,7 +240,7 @@ def _cmd_export_milp(args) -> int:
 
 def _cmd_import_milp(args) -> int:
     inst = load_instance(args.instance)
-    variant = None if args.variant is None else Variant.parse(args.variant)
+    variant = None if args.variant is None else _variant(args.variant)
     sol = exact.import_milp_solution(args.values, inst, variant=variant)
     print(f"imported solution: objective {sol.objective:.6f} h, stops {len(sol.tour)}")
     if args.out:
@@ -213,38 +248,37 @@ def _cmd_import_milp(args) -> int:
     return 0
 
 
-def _report_row(report, tsp_obj: float, tsp_exact: bool) -> list:
+def _report_row(report, truck_speed: float, tsp: baseline.TspResult) -> list:
     return [
         report.instance,
-        40,
+        f"{truck_speed:g}",
         f"{report.drone_speed:g}",
         report.num_drones,
-        f"{tsp_obj:.6f}",
+        f"{tsp.objective:.6f}",
         report.visited,
         f"{report.objective:.6f}",
         f"{report.wait_time:.6f}",
         f"{report.travel_time:.6f}",
         f"{report.gap:.2f}",
         f"{report.wall_time:.2f}",
-        "exact" if tsp_exact else "approx",
+        "exact" if tsp.exact else "approx",
     ]
 
 
 def _cmd_compare_tsp(args) -> int:
+    cfg = _grasp_config(args, Variant.MULTI)
     inst = load_instance(args.instance)
-    cfg = grasp.GraspConfig(
-        variant=Variant.MULTI,
-        n_max=args.iters,
-        seed=args.seed,
-        threads=args.threads if args.threads is not None else _default_threads(),
-    )
+    try:
+        baseline.check_coincident(inst)
+    except ValueError as err:
+        raise UsageError(f"compare-tsp needs a coincident instance: {err}") from None
     tsp = baseline.solve_tsp(inst.truck_nodes, inst.truck_speed)
-    rows = baseline.compare_mode(inst, args.speeds, args.fleet, cfg)
+    rows = baseline.compare_mode(inst, args.speeds, args.fleet, cfg, tsp=tsp)
     with open(args.out, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow([*CSV_HEADER, "TSP_mode"])
         for report in rows:
-            writer.writerow(_report_row(report, tsp.objective, tsp.exact))
+            writer.writerow(_report_row(report, inst.truck_speed, tsp))
     label = "exact" if tsp.exact else "approximate"
     print(f"TSP tour ({label}): {tsp.objective:.6f} h; wrote {len(rows)} rows -> {args.out}")
     return 0
@@ -262,6 +296,7 @@ def _collect_instances(paths) -> list[Path]:
 
 
 def _cmd_bench(args) -> int:
+    _at_least_one("--iters", args.iters)
     files = _collect_instances(args.instances)
     if not files:
         print("no instance files found", file=sys.stderr)
@@ -347,6 +382,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except UsageError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except TwoEchoError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -10,6 +10,7 @@ form so any external MILP solver can cross-check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -57,9 +58,13 @@ class ExactResult:
 
 # --- minimum-makespan trip packing --------------------------------------------
 
-_PACK_CACHE: dict[tuple, tuple[float, tuple[int, ...]]] = {}
+# Results kept for the most recent distinct packings. One instance at the
+# default limits (8 nodes, 8 customers) asks for at most 7 * 2**8 of them;
+# the bound keeps a long-lived process from growing without limit.
+PACK_CACHE_SIZE = 4096
 
 
+@functools.lru_cache(maxsize=PACK_CACHE_SIZE)
 def minmax_packing(trips: tuple[float, ...], drones: int) -> tuple[float, tuple[int, ...]]:
     """Exact min-max split of round trips over identical drones.
 
@@ -69,10 +74,6 @@ def minmax_packing(trips: tuple[float, ...], drones: int) -> tuple[float, tuple[
     """
     if not trips:
         return 0.0, ()
-    key = (trips, drones)
-    hit = _PACK_CACHE.get(key)
-    if hit is not None:
-        return hit
     lower = max(trips[0], sum(trips) / drones)
     loads = [0.0] * drones
     assign = [0] * len(trips)
@@ -109,9 +110,7 @@ def minmax_packing(trips: tuple[float, ...], drones: int) -> tuple[float, tuple[
                 return
 
     rec(0)
-    result = (best_span, best_assign)
-    _PACK_CACHE[key] = result
-    return result
+    return best_span, best_assign
 
 
 # --- tour pricing ---------------------------------------------------------------

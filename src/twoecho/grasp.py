@@ -64,7 +64,11 @@ def _run_stream(
 ):
     rng = np.random.default_rng(seed)
     best: Solution | None = None
-    done = failures = 0
+    done = failures = repeated = 0
+    # Local search depends only on the tour and the two mappings, so a start
+    # seen before reaches the same optimum, which cannot strictly beat best.
+    searched: set[tuple] = set()
+    customers = range(inst.m)
     start = time.perf_counter()
     for _ in range(iterations):
         if time_limit is not None and time.perf_counter() - start >= time_limit:
@@ -76,17 +80,25 @@ def _run_stream(
         except ConstructionFailed:
             failures += 1
             continue
+        key = (
+            tuple(sol.tour),
+            tuple(map(sol.assign.__getitem__, customers)),
+            None if sol.drone_of is None else tuple(map(sol.drone_of.__getitem__, customers)),
+        )
+        if key in searched:
+            repeated += 1
+            continue
+        searched.add(key)
         sol = local_search(sol, inst, mats, on_move=on_move)
         if best is None or sol.objective < best.objective:
             best = sol
-    return best, done, failures
+    return best, done, failures, repeated
 
 
 def _worker(args):
     inst, variant, iterations, seed, time_limit = args
     mats = build_time_matrices(inst)
-    best, done, failures = _run_stream(inst, mats, variant, iterations, seed, time_limit)
-    return best, done, failures
+    return _run_stream(inst, mats, variant, iterations, seed, time_limit)
 
 
 def run(
@@ -107,7 +119,7 @@ def run(
     start = time.perf_counter()
 
     if cfg.threads == 1:
-        best, done, failures = _run_stream(
+        best, done, failures, repeated = _run_stream(
             inst, mats, cfg.variant, cfg.n_max, cfg.seed, cfg.time_limit, on_move
         )
     else:
@@ -120,11 +132,12 @@ def run(
             for w in range(cfg.threads)
             if shares[w] > 0
         ]
-        best, done, failures = None, 0, 0
+        best, done, failures, repeated = None, 0, 0, 0
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            for sol, d, f in pool.map(_worker, jobs):
+            for sol, d, f, r in pool.map(_worker, jobs):
                 done += d
                 failures += f
+                repeated += r
                 if sol is None:
                     continue
                 if best is None or (sol.objective, sol.canonical_json()) < (
@@ -149,5 +162,6 @@ def run(
         iterations=done,
         wall_time=time.perf_counter() - start,
         construction_failures=failures,
+        repeated_starts=repeated,
     )
     return best, report

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -475,6 +475,7 @@ class RunReport:
     wall_time: float
     tsp_objective: float | None = None
     construction_failures: int = 0
+    repeated_starts: int = 0
 
     def __post_init__(self):
         if abs(self.objective - (self.wait_time + self.travel_time)) > 1e-9:
@@ -497,6 +498,7 @@ class RunReport:
             "wall_time": self.wall_time,
             "tsp_objective": self.tsp_objective,
             "construction_failures": self.construction_failures,
+            "repeated_starts": self.repeated_starts,
         }
 
     @classmethod
@@ -515,30 +517,37 @@ class RunReport:
             wall_time=float(data["wall_time"]),
             tsp_objective=None if data.get("tsp_objective") is None else float(data["tsp_objective"]),
             construction_failures=int(data.get("construction_failures", 0)),
+            repeated_starts=int(data.get("repeated_starts", 0)),
         )
 
 
 # --- JSON file formats --------------------------------------------------------
 
 
+_INSTANCE_KEYS = frozenset(f.name for f in fields(Instance) if f.name != "meta")
+
+
 def instance_to_json_dict(inst: Instance) -> dict:
-    data = {
-        "name": inst.name,
-        "d": inst.d,
-        "truck_speed": inst.truck_speed,
-        "drone_speed": inst.drone_speed,
-        "endurance": inst.endurance,
-        "num_drones": inst.num_drones,
-        "truck_nodes": [[p.x, p.y] for p in inst.truck_nodes],
-        "customers": [[p.x, p.y] for p in inst.customers],
+    """Core fields plus the ``meta`` keys (generator seed and so on) at the top
+    level; a meta key named like a core field is left out, never written over it."""
+    # the same conversions as on reading, so that a loaded file saves to the same bytes
+    core = {
+        "name": str(inst.name),
+        "d": float(inst.d),
+        "truck_speed": float(inst.truck_speed),
+        "drone_speed": float(inst.drone_speed),
+        "endurance": float(inst.endurance),
+        "num_drones": int(inst.num_drones),
+        "truck_nodes": [[float(p.x), float(p.y)] for p in inst.truck_nodes],
+        "customers": [[float(p.x), float(p.y)] for p in inst.customers],
     }
-    if inst.meta:
-        data.update(inst.meta)
-    return data
+    meta = {key: value for key, value in (inst.meta or {}).items() if key not in core}
+    return {**meta, **core}
 
 
 def instance_from_json_dict(data: Mapping) -> Instance:
-    # unknown keys are ignored for forward compatibility
+    """Inverse of :func:`instance_to_json_dict`: keys beyond the core fields go to ``meta``."""
+    meta = {key: value for key, value in data.items() if key not in _INSTANCE_KEYS}
     return Instance(
         name=str(data["name"]),
         d=float(data["d"]),
@@ -548,6 +557,7 @@ def instance_from_json_dict(data: Mapping) -> Instance:
         drone_speed=float(data["drone_speed"]),
         endurance=float(data["endurance"]),
         num_drones=int(data["num_drones"]),
+        meta=meta or None,
     )
 
 

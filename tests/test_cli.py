@@ -133,3 +133,78 @@ def test_usage_errors_exit_2():
 
 def test_missing_file_is_runtime_error(tmp_path):
     assert run_cli("solve", tmp_path / "nope.json") == 1
+
+
+def _assert_usage_error(capsys, *args):
+    capsys.readouterr()
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.fixture
+def tiny_instance(tmp_path):
+    path = tmp_path / "i.json"
+    run_cli("gen", "--d", 20, "--n", 4, "--m", 5, "--seed", 3, "--num-drones", 2, "--out", path)
+    return path
+
+
+def test_solve_zero_iterations_is_usage_error(tiny_instance, capsys):
+    _assert_usage_error(capsys, "solve", tiny_instance, "--iters", 0)
+
+
+def test_solve_zero_threads_is_usage_error(tiny_instance, capsys):
+    _assert_usage_error(capsys, "solve", tiny_instance, "--threads", 0)
+
+
+def test_solve_zero_time_limit_is_usage_error(tiny_instance, capsys):
+    _assert_usage_error(capsys, "solve", tiny_instance, "--time-limit", 0)
+
+
+def test_non_integer_thread_variable_is_usage_error(tiny_instance, capsys, monkeypatch):
+    monkeypatch.setenv("TWOECHO_THREADS", "abc")
+    _assert_usage_error(capsys, "solve", tiny_instance, "--iters", 5)
+
+
+def test_compare_tsp_non_coincident_is_usage_error(tiny_instance, tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    _assert_usage_error(capsys, "compare-tsp", tiny_instance, "--iters", 5, "--out", out)
+    assert not out.exists()
+
+
+def test_compare_tsp_writes_the_truck_speed_and_solves_the_tsp_once(tmp_path, monkeypatch):
+    from twoecho import baseline
+
+    solved = []
+
+    def counting(*args, **kwargs):
+        solved.append(args)
+        return solve_tsp(*args, **kwargs)
+
+    solve_tsp = baseline.solve_tsp
+    monkeypatch.setattr(baseline, "solve_tsp", counting)
+    inst_path = tmp_path / "c.json"
+    out = tmp_path / "rows.csv"
+    run_cli(
+        "gen", "--d", 15, "--n", 5, "--seed", 4, "--coincident", "--truck-speed", 30,
+        "--out", inst_path,
+    )
+    assert (
+        run_cli(
+            "compare-tsp", inst_path, "--speeds", "40", "--fleet", "1,2",
+            "--iters", 10, "--out", out,
+        )
+        == 0
+    )
+    rows = list(csv.reader(out.open()))
+    assert [row[1] for row in rows[1:]] == ["30", "30"]
+    assert len(solved) == 1
+
+
+def test_solve_reports_repeated_starts(tiny_instance, tmp_path, capsys):
+    rep_path = tmp_path / "r.json"
+    assert run_cli("solve", tiny_instance, "--iters", 200, "--report", rep_path) == 0
+    report = load_report(rep_path)
+    assert report.repeated_starts > 0
+    assert f"({report.repeated_starts} repeated starts)" in capsys.readouterr().out

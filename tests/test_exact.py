@@ -116,3 +116,15 @@ def test_proof_reports_search_effort():
     assert res.proof.complete
     assert res.proof.subsets >= 1
     assert res.proof.assignments >= 1
+
+
+def test_packing_cache_stays_within_its_bound():
+    from twoecho.exact import PACK_CACHE_SIZE
+
+    expected = minmax_packing((0.8, 0.6, 0.5), 2)
+    for i in range(PACK_CACHE_SIZE + 50):
+        minmax_packing((1.0 + i, 0.5), 2)
+    info = minmax_packing.cache_info()
+    assert info.maxsize == PACK_CACHE_SIZE
+    assert info.currsize <= PACK_CACHE_SIZE
+    assert minmax_packing((0.8, 0.6, 0.5), 2) == expected

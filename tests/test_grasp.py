@@ -1,18 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_instance, random_instance
 from twoecho import (
+    GenConfig,
     GraspConfig,
     NoSolutionError,
     Variant,
     build_time_matrices,
     check_feasibility,
+    compute_u_min,
     construct_solution,
     evaluate,
+    generate,
+    grasp,
     local_search,
     run,
 )
+from twoecho.construct import ConstructionFailed
 from twoecho.grasp import worker_seed
 
 
@@ -109,3 +116,91 @@ def test_parallel_merge_is_min_of_worker_runs():
     assert report.objective == pytest.approx(min(singles), abs=1e-12)
     assert report.objective <= max(singles) + 1e-12
     assert report.iterations == 30
+
+
+def _tiny_at_u_min(seed, n_truck=4, m_customers=6):
+    inst = generate(GenConfig(d=20, n_truck=n_truck, m_customers=m_customers, seed=seed))
+    return inst.replaced(num_drones=compute_u_min(inst, build_time_matrices(inst)))
+
+
+def _start_key(sol):
+    drones = None if sol.drone_of is None else tuple(sorted(sol.drone_of.items()))
+    return tuple(sol.tour), tuple(sorted(sol.assign.items())), drones
+
+
+@pytest.mark.parametrize("variant", [Variant.SINGLE, Variant.MULTI])
+def test_local_search_runs_once_per_distinct_start(monkeypatch, variant):
+    searched = []
+
+    def counting(sol, *args, **kwargs):
+        searched.append(_start_key(sol))
+        return local_search(sol, *args, **kwargs)
+
+    monkeypatch.setattr(grasp, "local_search", counting)
+    inst = _tiny_at_u_min(1)
+    mats = build_time_matrices(inst)
+    _, report = run(inst, GraspConfig(variant=variant, n_max=300, seed=4), mats=mats)
+    assert report.repeated_starts > 0
+    assert len(searched) + report.repeated_starts == report.iterations - report.construction_failures
+
+    # replay the run's constructions: every distinct start is searched once, in order
+    rng = np.random.default_rng(4)
+    distinct = {}
+    for _ in range(300):
+        try:
+            sol = construct_solution(inst, mats, variant, rng, evaluated=False)
+        except ConstructionFailed:
+            continue
+        distinct.setdefault(_start_key(sol), None)
+    assert searched == list(distinct)
+
+
+def test_repeated_starts_sum_over_workers():
+    inst = _tiny_at_u_min(1)
+    _, report = run(inst, GraspConfig(variant=Variant.MULTI, n_max=200, seed=6, threads=2))
+    per_worker = [
+        run(inst, GraspConfig(variant=Variant.MULTI, n_max=100, seed=worker_seed(6, w)))[1]
+        for w in range(2)
+    ]
+    assert report.repeated_starts == sum(r.repeated_starts for r in per_worker) > 0
+
+
+def _search_every_start(inst, mats, variant, n_max, seed):
+    """The multi-start loop without the repeated-start skip."""
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(n_max):
+        try:
+            sol = construct_solution(inst, mats, variant, rng, evaluated=False)
+        except ConstructionFailed:
+            continue
+        sol = local_search(sol, inst, mats)
+        if best is None or sol.objective < best.objective:
+            best = sol
+    return best
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    inst_seed=st.integers(0, 10**6),
+    n_truck=st.integers(3, 6),
+    m_customers=st.integers(3, 7),
+    extra_drones=st.integers(0, 1),
+    multi=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_skipping_repeated_starts_changes_no_result(
+    inst_seed, n_truck, m_customers, extra_drones, multi, seed
+):
+    inst = _tiny_at_u_min(inst_seed, n_truck, m_customers)
+    inst = inst.replaced(num_drones=inst.num_drones + extra_drones)
+    mats = build_time_matrices(inst)
+    variant = Variant.MULTI if multi else Variant.SINGLE
+    expected = _search_every_start(inst, mats, variant, 60, seed)
+    if expected is None:
+        with pytest.raises(NoSolutionError):
+            run(inst, GraspConfig(variant=variant, n_max=60, seed=seed), mats=mats)
+        return
+    best, report = run(inst, GraspConfig(variant=variant, n_max=60, seed=seed), mats=mats)
+    assert best.canonical_json() == expected.canonical_json()
+    assert report.objective == expected.objective

@@ -233,3 +233,31 @@ def test_instance_json_roundtrip_ignores_unknown_keys():
     assert back.truck_nodes == inst.truck_nodes
     assert back.customers == inst.customers
     assert back.num_drones == 2
+
+
+def test_instance_file_keeps_generator_meta(tmp_path):
+    from twoecho import GenConfig, generate, generate_coincident, load_instance, save_instance
+
+    for inst in (
+        generate(GenConfig(d=20, n_truck=4, m_customers=5, seed=17)),
+        generate_coincident(d=15, n_total=6, seed=5),
+    ):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_instance(inst, first)
+        back = load_instance(first)
+        assert back.meta == inst.meta
+        save_instance(back, second)
+        assert second.read_bytes() == first.read_bytes()
+
+
+def test_instance_meta_never_overwrites_core_fields():
+    inst = make_instance([(0, 0), (1, 2)], [(1, 3)], num_drones=2).replaced(
+        meta={"name": "other", "num_drones": 9, "note": "kept"}
+    )
+    data = instance_to_json_dict(inst)
+    assert data["name"] == "test"
+    assert data["num_drones"] == 2
+    assert data["note"] == "kept"
+    back = instance_from_json_dict(data)
+    assert back.num_drones == 2
+    assert back.meta == {"note": "kept"}
