@@ -1,7 +1,5 @@
 """Generate a random instance, look at its travel times, and size the fleet."""
 
-import numpy as np
-
 from twoecho import GenConfig, build_time_matrices, compute_u_min, generate, save_instance
 
 cfg = GenConfig(d=20, n_truck=5, m_customers=12, drone_speed=50, seed=2024)
@@ -12,7 +10,8 @@ print(f"truck {inst.truck_speed:g} km/h on Manhattan roads, drones {inst.drone_s
 
 mats = build_time_matrices(inst)
 print("\ntruck hours between the first four nodes:")
-print(np.round(mats.t[:4, :4], 3))
+for row in mats.t[:4]:
+    print([round(hours, 3) for hours in row[:4]])
 
 print("\nhow many customers each node can serve:", [len(w) for w in mats.w_sets])
 print("how many launch sites each customer has:", [len(v) for v in mats.v_serve])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .exact import _closed_tour, _held_karp_paths
 from .model import Instance, Point, RunReport, Variant, manhattan, euclidean
 
 EXACT_TSP_LIMIT = 16
@@ -20,55 +21,6 @@ def tsp_time_matrix(points, speed: float, metric: str = "manhattan"):
     dist = manhattan if metric == "manhattan" else euclidean
     pts = [Point(*p) for p in points]
     return [[dist(a, b) / speed for b in pts] for a in pts]
-
-
-def _held_karp_closed(t) -> tuple[float, list[int]]:
-    n = len(t)
-    if n == 1:
-        return 0.0, [0]
-    m = n - 1
-    full = 1 << m
-    inf = float("inf")
-    dp = [[inf] * m for _ in range(full)]
-    parent = [[-1] * m for _ in range(full)]
-    t0 = t[0]
-    for b in range(m):
-        dp[1 << b][b] = t0[b + 1]
-    for mask in range(1, full):
-        row = dp[mask]
-        rest = (full - 1) & ~mask
-        for b in range(m):
-            if not (mask >> b) & 1:
-                continue
-            cur = row[b]
-            if cur == inf:
-                continue
-            trow = t[b + 1]
-            sub = rest
-            while sub:
-                bit = sub & -sub
-                sub ^= bit
-                nb = bit.bit_length() - 1
-                cand = cur + trow[nb + 1]
-                nm = mask | bit
-                if cand < dp[nm][nb]:
-                    dp[nm][nb] = cand
-                    parent[nm][nb] = b
-    goal = full - 1
-    best, last = inf, -1
-    for b in range(m):
-        cand = dp[goal][b] + t[b + 1][0]
-        if cand < best:
-            best, last = cand, b
-    order = []
-    mask = goal
-    while last != -1:
-        order.append(last + 1)
-        nxt = parent[mask][last]
-        mask ^= 1 << last
-        last = nxt
-    order.reverse()
-    return best, [0] + order
 
 
 def _tour_length(tour, t) -> float:
@@ -93,7 +45,6 @@ def _nearest_neighbor(t) -> list[int]:
 
 def _two_opt_pass(tour, t) -> bool:
     n = len(tour)
-    improved = False
     for a in range(n - 1):
         A, A1 = tour[a], tour[a + 1]
         for b in range(a + 2, n):
@@ -103,7 +54,7 @@ def _two_opt_pass(tour, t) -> bool:
             if delta < -1e-12:
                 tour[a + 1 : b + 1] = reversed(tour[a + 1 : b + 1])
                 return True
-    return improved
+    return False
 
 
 def _or_opt_pass(tour, t) -> bool:
@@ -131,11 +82,15 @@ def solve_tsp(points, speed: float, metric: str = "manhattan") -> TspResult:
     nearest-neighbor start improved by 2-opt and segment relocation, flagged
     as approximate.
     """
-    if len(points) == 0:
+    n = len(points)
+    if n == 0:
         raise ValueError("need at least one point")
+    if n == 1:
+        return TspResult((0,), 0.0, True)
     t = tsp_time_matrix(points, speed, metric)
-    if len(points) <= EXACT_TSP_LIMIT:
-        cost, tour = _held_karp_closed(t)
+    if n <= EXACT_TSP_LIMIT:
+        dp, parent = _held_karp_paths(t, n)
+        cost, tour = _closed_tour(dp, parent, t, (1 << (n - 1)) - 1)
         return TspResult(tuple(tour), cost, True)
     tour = _nearest_neighbor(t)
     while _two_opt_pass(tour, t) or _or_opt_pass(tour, t):

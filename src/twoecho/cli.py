@@ -32,10 +32,19 @@ class UsageError(TwoEchoError):
     """Bad command-line input; reported in one line with exit code 2."""
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise UsageError(message)
+
+
 def _at_least_one(name: str, value: int) -> int:
-    if value < 1:
-        raise UsageError(f"{name} must be at least 1, got {value}")
+    _require(value >= 1, f"{name} must be at least 1, got {value}")
     return value
+
+
+def _check_speeds(speeds, truck_speed: float) -> None:
+    for vd in speeds:
+        _require(vd >= truck_speed, f"--speeds must be at least the truck speed {truck_speed:g}, got {vd:g}")
 
 
 def _threads(args) -> int:
@@ -156,6 +165,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
+    _require(args.d > 0, f"--d must be positive, got {args.d:g}")
+    _require(args.m >= 0, f"--m must not be negative, got {args.m}")
+    # the depot never launches drones, so customers need a second node
+    min_n = 2 if args.coincident or args.m > 0 else 1
+    _require(args.n >= min_n, f"--n must be at least {min_n}, got {args.n}")
+    _require(
+        0 < args.truck_speed <= args.drone_speed,
+        f"need 0 < --truck-speed <= --drone-speed, got {args.truck_speed:g} and {args.drone_speed:g}",
+    )
+    _require(args.endurance > 0, f"--endurance must be positive, got {args.endurance:g}")
+    _at_least_one("--num-drones", args.num_drones)
     if args.coincident:
         inst = instancegen.generate_coincident(
             d=args.d,
@@ -272,6 +292,9 @@ def _cmd_compare_tsp(args) -> int:
         baseline.check_coincident(inst)
     except ValueError as err:
         raise UsageError(f"compare-tsp needs a coincident instance: {err}") from None
+    for u in args.fleet:
+        _at_least_one("--fleet", u)
+    _check_speeds(args.speeds, inst.truck_speed)
     tsp = baseline.solve_tsp(inst.truck_nodes, inst.truck_speed)
     rows = baseline.compare_mode(inst, args.speeds, args.fleet, cfg, tsp=tsp)
     with open(args.out, "w", newline="", encoding="utf-8") as f:
@@ -304,12 +327,22 @@ def _cmd_bench(args) -> int:
     header = ["Data", "vd", "u"]
     for method in ("exact_s", "grasp_s", "exact_m", "grasp_m"):
         header += [f"{method}_Time", f"{method}_Obj_h", f"{method}_Obj_min"]
-    rows = []
+    grid = []
     for path in files:
         inst = load_instance(path)
-        ref_speed = max(40.0, inst.truck_speed)
-        ref = inst.replaced(drone_speed=max(ref_speed, inst.drone_speed))
+        # fleet sizes come from the 40 km/h reference drone speed, so that
+        # every grid speed down to 40 km/h can serve every customer
+        ref = inst.replaced(drone_speed=max(40.0, inst.truck_speed))
         u_min = instancegen.compute_u_min(ref, build_time_matrices(ref))
+        for offset in args.u_offsets:
+            _require(
+                u_min + offset >= 1,
+                f"--u-offsets {offset} leaves {inst.name} (u_min {u_min}) without a drone",
+            )
+        _check_speeds(args.speeds, inst.truck_speed)
+        grid.append((inst, u_min))
+    rows = []
+    for inst, u_min in grid:
         for offset in args.u_offsets:
             u = u_min + offset
             for vd in args.speeds:

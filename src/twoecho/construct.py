@@ -9,10 +9,7 @@ to commit. Cheaper options win proportionally to the inverse of their cost.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
-
-import numpy as np
 
 from .model import (
     Instance,
@@ -29,45 +26,6 @@ EPSILON = 1e-6  # hours; keeps zero-cost candidates off the division by zero
 
 class ConstructionFailed(TwoEchoError):
     """Single-trip capacity ran out before every customer found a serving node."""
-
-
-@dataclass(frozen=True)
-class CandidateOp:
-    """One randomizable decision: what it does, what it costs, and its target."""
-
-    kind: str
-    cost: float
-    payload: tuple
-
-    def __post_init__(self):
-        if self.cost < 0:
-            raise ValueError(f"candidate cost must be non-negative, got {self.cost}")
-
-
-def roulette_probabilities(costs) -> np.ndarray:
-    """Selection probabilities proportional to 1/(cost + epsilon)."""
-    w = 1.0 / (np.asarray(costs, dtype=float) + EPSILON)
-    return w / w.sum()
-
-
-def roulette_pick(candidates, rng) -> CandidateOp:
-    """Pick one candidate with probability inverse to its cost."""
-    if not candidates:
-        raise ValueError("roulette_pick needs at least one candidate")
-    weights = 1.0 / (np.array([c.cost for c in candidates]) + EPSILON)
-    cum = np.cumsum(weights)
-    r = cum[-1] * (1.0 - rng.random())  # in (0, total]
-    return candidates[int((cum < r).sum())]
-
-
-def truck_insertion_cost(j: int, arc: tuple[int, int], mats: TimeMatrices) -> float:
-    """Extra travel time from inserting node ``j`` into the arc ``(p, q)``.
-
-    ``q == 0`` denotes the closing leg back to the depot copy.
-    """
-    p, q = arc
-    t = mats.t
-    return max(float(t[p, j] + t[j, q] - t[p, q]), 0.0)
 
 
 class ConstructionState:
@@ -110,7 +68,7 @@ class ConstructionState:
         self._cums: list[list[float] | None] = [None] * m
         self._sites = [len(sites) for sites in mats.v_serve]
         # per unvisited launch site: insertion cost and weight of each tour arc
-        t = mats.t_rows
+        t = mats.t
         self._arc_cost: dict[int, list[float]] = {}
         self._arc_w: dict[int, list[float]] = {}
         for j in range(1, n):
@@ -158,10 +116,10 @@ class ConstructionState:
 
     def _choose_insertions(self, unvisited, draws) -> None:
         """Step 1: roulette-choose an insertion position for every unvisited
-        node, then reweigh the node for every customer it can serve
-        (:func:`assignment_cost` with the node unvisited)."""
+        node, then reweigh the node for every customer it can serve: the
+        round trip plus the chosen insertion cost."""
         arc_cost, arc_w = self._arc_cost, self._arc_w
-        trip_rows, w_sets = self.mats.trip_rows, self.mats.w_sets
+        trip, w_sets = self.mats.trip, self.mats.w_sets
         unserved, weights, eps = self.unserved, self._weights, EPSILON
         for j, r in zip(unvisited, draws):
             costs = arc_cost.get(j)
@@ -172,15 +130,16 @@ class ConstructionState:
             ic = costs[a]
             self.step_pos[j] = a + 1
             self.step_ic[j] = ic
-            trips = trip_rows[j]
+            trips = trip[j]
             for k in w_sets[j]:
                 if unserved[k]:
                     weights[k][j] = 1.0 / (trips[k] + ic + eps)
         self._cums = [None] * self.inst.m
 
     def _reweigh(self, i) -> None:
-        """Recompute visited node ``i``'s weight for every pending customer,
-        with the arithmetic of :func:`assignment_cost` in the same order."""
+        """Recompute visited node ``i``'s weight for every pending customer:
+        the wait increase from adding the customer's trip, on the least
+        loaded drone in multi-trip mode, clamped at zero."""
         unserved, weights, cums = self.unserved, self._weights, self._cums
         if self.variant is Variant.SINGLE:
             if self.count[i] >= self.inst.num_drones:
@@ -193,7 +152,7 @@ class ConstructionState:
             base = 0.0
         else:
             base = min(self.loads[i])
-        trips = self.mats.trip_rows[i]
+        trips = self.mats.trip[i]
         wait = self.wait[i]
         for k in self.mats.w_sets[i]:
             if unserved[k]:
@@ -203,7 +162,7 @@ class ConstructionState:
 
     def _split_arc(self, pos: int, x: int) -> None:
         """Replace the tour arc into position ``pos`` by the two arcs through ``x``."""
-        t = self.mats.t_rows
+        t = self.mats.t
         tour = self.tour
         p = tour[pos - 1]
         q = tour[pos] if pos < len(tour) else 0
@@ -227,7 +186,7 @@ class ConstructionState:
             self.tour.insert(pos, i)
             self.visited[i] = True
             self.tour_dirty = True
-        trip = self.mats.trip_rows[i][k]
+        trip = self.mats.trip[i][k]
         if self.variant is Variant.SINGLE:
             self.count[i] += 1
             self.wait[i] = max(self.wait[i], trip)
@@ -241,22 +200,6 @@ class ConstructionState:
         self.unserved[k] = False
         self.pending.remove(k)
         self._reweigh(i)
-
-
-def assignment_cost(k: int, i: int, state: ConstructionState) -> float:
-    """Cost of serving customer ``k`` from node ``i`` in the current state.
-
-    The wait increase at ``i``, plus the node's chosen insertion cost when
-    the truck does not stop there yet.
-    """
-    trip = state.mats.trip_rows[i][k]
-    if state.variant is Variant.SINGLE:
-        delta = max(trip - state.wait[i], 0.0)
-    else:
-        delta = max(min(state.loads[i]) + trip - state.wait[i], 0.0)
-    if not state.visited[i]:
-        delta += state.step_ic[i]
-    return delta
 
 
 def construct_solution(

@@ -21,6 +21,7 @@ from .model import (
     TimeMatrices,
     TwoEchoError,
     Variant,
+    build_time_matrices,
     evaluate,
 )
 
@@ -116,7 +117,7 @@ def minmax_packing(trips: tuple[float, ...], drones: int) -> tuple[float, tuple[
 # --- tour pricing ---------------------------------------------------------------
 
 
-def _held_karp_paths(t_rows, n):
+def _held_karp_paths(t, n):
     """dp[mask][b] = min time for depot -> ... -> node (b+1) visiting exactly mask."""
     m = n - 1
     full = 1 << m
@@ -124,17 +125,17 @@ def _held_karp_paths(t_rows, n):
     dp = [[inf] * m for _ in range(full)]
     parent = [[-1] * m for _ in range(full)]
     for b in range(m):
-        dp[1 << b][b] = t_rows[0][b + 1]
+        dp[1 << b][b] = t[0][b + 1]
     for mask in range(1, full):
         row = dp[mask]
+        rest = (full - 1) & ~mask
         for b in range(m):
             if not (mask >> b) & 1:
                 continue
             cur = row[b]
             if cur == inf:
                 continue
-            trow = t_rows[b + 1]
-            rest = (full - 1) & ~mask
+            trow = t[b + 1]
             sub = rest
             while sub:
                 nb_bit = sub & -sub
@@ -148,7 +149,7 @@ def _held_karp_paths(t_rows, n):
     return dp, parent
 
 
-def _closed_tour(dp, parent, t_rows, mask):
+def _closed_tour(dp, parent, t, mask):
     """Best closed tour over subset ``mask`` of non-depot nodes; returns (cost, tour)."""
     best = float("inf")
     last = -1
@@ -158,7 +159,7 @@ def _closed_tour(dp, parent, t_rows, mask):
         bit = sub & -sub
         sub ^= bit
         b = bit.bit_length() - 1
-        cand = row[b] + t_rows[b + 1][0]
+        cand = row[b] + t[b + 1][0]
         if cand < best:
             best = cand
             last = b
@@ -212,8 +213,8 @@ def solve_exact(
             bits |= 1 << (i - 1)
         serve_bits.append(bits)
 
-    trip = mats.trip_rows
-    dp, parent = _held_karp_paths(mats.t_rows, n)
+    trip = mats.trip
+    dp, parent = _held_karp_paths(mats.t, n)
     full = 1 << (n - 1)
     best_obj = float("inf")
     best_payload = None
@@ -230,7 +231,7 @@ def solve_exact(
         if any(c == 0 for c in cand):
             continue
         subsets += 1
-        tour_cost, tour = _closed_tour(dp, parent, mats.t_rows, mask)
+        tour_cost, tour = _closed_tour(dp, parent, mats.t, mask)
         if tour_cost >= best_obj:
             continue
 
@@ -273,11 +274,9 @@ def solve_exact(
                 counts[i] = cnt + 1
                 waits[i] = new_wait
                 assigned[k] = i
+                dfs(pos + 1, new_empties, total_wait + new_wait - old_wait)
                 if multi:
-                    dfs(pos + 1, new_empties, total_wait + new_wait - old_wait)
                     trips_at[i].pop()
-                else:
-                    dfs(pos + 1, new_empties, total_wait + new_wait - old_wait)
                 counts[i] = cnt
                 waits[i] = old_wait
                 del assigned[k]
@@ -378,8 +377,8 @@ def export_milp(
             )
     n, m, u = inst.n, inst.m, inst.num_drones
     multi = variant is Variant.MULTI
-    t = mats.t_rows
-    trip = mats.trip_rows
+    t = mats.t
+    trip = mats.trip
     w_sets = mats.w_sets
     lp = _LpWriter(f"two-echelon truck-drone completion time, {variant.value}-trip: {inst.name}")
     lp.objective(f"a_{n}")
@@ -552,8 +551,6 @@ def import_milp_solution(
     variables must trace a single depot-to-copy path, and the resulting
     solution is validated before being returned.
     """
-    from .model import build_time_matrices, check_feasibility, InfeasibleSolutionError
-
     if mats is None:
         mats = build_time_matrices(inst)
     values: dict[str, float] = {}
@@ -630,8 +627,5 @@ def import_milp_solution(
         assign,
         drone_of if variant is Variant.MULTI else None,
     )
-    violations = check_feasibility(sol, inst, mats)
-    if violations:
-        raise InfeasibleSolutionError(violations)
-    evaluate(sol, inst, mats)
+    evaluate(sol, inst, mats)  # raises InfeasibleSolutionError listing every violation
     return sol

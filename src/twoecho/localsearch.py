@@ -60,9 +60,9 @@ class DeltaCache:
         self.u = inst.num_drones
         self.on_move = on_move
         self.moves = 0
-        self.t = mats.t_rows
-        self.trip = mats.trip_rows
-        self.reach = mats.reach_rows
+        self.t = mats.t
+        self.trip = mats.trip
+        self.reach = mats.reach
 
         self.tour = list(sol.tour)
         self.assign = dict(sol.assign)
@@ -97,10 +97,6 @@ class DeltaCache:
         self._bump_tour()
 
     # --- bookkeeping ---------------------------------------------------------
-
-    @property
-    def objective(self) -> float:
-        return self.travel_time + self.wait_total
 
     def _legs_sum(self, tour) -> float:
         t = self.t
@@ -247,12 +243,6 @@ class DeltaCache:
 
     def relocate_truck_node(self) -> bool:
         """Move one visited node to a different tour position."""
-        improved = False
-        while self._scan_relocate():
-            improved = True
-        return improved
-
-    def _scan_relocate(self) -> bool:
         t = self.t
         tour = self.tour
         L = len(tour)
@@ -278,12 +268,6 @@ class DeltaCache:
 
     def swap_truck_node(self) -> bool:
         """Exchange the tour positions of two visited nodes."""
-        improved = False
-        while self._scan_swap_nodes():
-            improved = True
-        return improved
-
-    def _scan_swap_nodes(self) -> bool:
         t = self.t
         tour = self.tour
         L = len(tour)
@@ -312,12 +296,6 @@ class DeltaCache:
 
     def two_opt(self) -> bool:
         """Remove two tour edges and reconnect with the segment reversed."""
-        improved = False
-        while self._scan_two_opt():
-            improved = True
-        return improved
-
-    def _scan_two_opt(self) -> bool:
         t = self.t
         tour = self.tour
         L = len(tour)
@@ -341,12 +319,6 @@ class DeltaCache:
 
     def swap_assignment1(self) -> bool:
         """Exchange the serving nodes of two customers."""
-        improved = False
-        while self._scan_swap_assignment1():
-            improved = True
-        return improved
-
-    def _scan_swap_assignment1(self) -> bool:
         single = self.variant is Variant.SINGLE
         reach = self.reach
         m = self.inst.m
@@ -396,22 +368,6 @@ class DeltaCache:
                     return True
         return False
 
-    def re_assignment1(self) -> bool:
-        """Move one customer to another node; insert or drop stops as needed."""
-        improved = False
-        while self._scan_re_assignment1():
-            improved = True
-        return improved
-
-    def re_assignment2(self) -> bool:
-        """Move two customers of one node together to another node (multi-trip)."""
-        if self.variant is Variant.SINGLE:
-            return False
-        improved = False
-        while self._scan_re_assignment2():
-            improved = True
-        return improved
-
     def _composite_tour_delta(self, insert_j, ins_pos, drop_i) -> float:
         """Travel change from splicing ``insert_j`` in at tour position
         ``ins_pos`` and dropping ``drop_i``, from the edges next to both.
@@ -432,7 +388,8 @@ class DeltaCache:
         ins = t[a][insert_j] + t[insert_j][b] - t[a][b]
         return (ins if ins > 0.0 else 0.0) + self._remove_node_tour_delta(drop_i)
 
-    def _scan_re_assignment1(self) -> bool:
+    def re_assignment1(self) -> bool:
+        """Move one customer to another node; insert or drop stops as needed."""
         single = self.variant is Variant.SINGLE
         u = self.u
         trip = self.trip
@@ -482,7 +439,8 @@ class DeltaCache:
                         return True
         return False
 
-    def _scan_re_assignment2(self) -> bool:
+    def re_assignment2(self) -> bool:
+        """Move two customers of one node together to another node (multi-trip)."""
         trip = self.trip
         wait = self.wait
         reach = self.reach
@@ -599,12 +557,6 @@ class DeltaCache:
 
     def relocate_drone_assignment1(self) -> bool:
         """Hand one customer to a different drone at the same stop."""
-        improved = False
-        while self._scan_relocate_drone1():
-            improved = True
-        return improved
-
-    def _scan_relocate_drone1(self) -> bool:
         for i in self.tour[1:]:
             trip = self.trip[i]
             loads, wait = self.loads[i], self.wait[i]
@@ -623,12 +575,6 @@ class DeltaCache:
 
     def swap_drone_assignment1(self) -> bool:
         """Exchange the drones of two customers at the same stop."""
-        improved = False
-        while self._scan_swap_drone1():
-            improved = True
-        return improved
-
-    def _scan_swap_drone1(self) -> bool:
         for i in self.tour[1:]:
             trip = self.trip[i]
             custs = self.cust_at[i]
@@ -649,12 +595,6 @@ class DeltaCache:
 
     def relocate_drone_assignment2(self) -> bool:
         """Hand two customers of one drone to a different drone at the same stop."""
-        improved = False
-        while self._scan_relocate_drone2():
-            improved = True
-        return improved
-
-    def _scan_relocate_drone2(self) -> bool:
         for i in self.tour[1:]:
             trip = self.trip[i]
             loads, wait = self.loads[i], self.wait[i]
@@ -679,12 +619,6 @@ class DeltaCache:
 
     def swap_drone_assignment2(self) -> bool:
         """Trade two same-drone customers against one customer of another drone."""
-        improved = False
-        while self._scan_swap_drone2():
-            improved = True
-        return improved
-
-    def _scan_swap_drone2(self) -> bool:
         for i in self.tour[1:]:
             trip = self.trip[i]
             for l in range(self.u):
@@ -713,12 +647,6 @@ class DeltaCache:
 
     def triangle_drone_assignment(self) -> bool:
         """Rotate three customers around three different drones at one stop."""
-        improved = False
-        while self._scan_triangle():
-            improved = True
-        return improved
-
-    def _scan_triangle(self) -> bool:
         if self.u < 3:
             return False
         for i in self.tour[1:]:
@@ -752,9 +680,8 @@ class DeltaCache:
         return False
 
     def greedy_repack(self) -> bool:
-        """Re-pack each stop: shortest trips first, each onto the idlest drone."""
-        improved = False
-        for i in list(self.tour[1:]):
+        """Re-pack one stop: shortest trips first, each onto the idlest drone."""
+        for i in self.tour[1:]:
             trip = self.trip[i]
             custs = self.cust_at[i]
             if len(custs) < 2:
@@ -772,17 +699,11 @@ class DeltaCache:
                 self._apply_drone_moves(
                     i, [(k, l) for k, l in placement.items()], "greedy_repack", delta
                 )
-                improved = True
-        return improved
+                return True
+        return False
 
     def zigzag_assignment(self) -> bool:
         """Move a customer to another stop while a stop-mate takes over its drone."""
-        improved = False
-        while self._scan_zigzag():
-            improved = True
-        return improved
-
-    def _scan_zigzag(self) -> bool:
         reach = self.reach
         for i in self.tour[1:]:
             trip = self.trip[i]
@@ -823,22 +744,23 @@ class DeltaCache:
     def run(self) -> None:
         """Apply every operator in its fixed order until none improves.
 
-        An operator returns once a further call would find nothing: it scans
-        until a scan finds no move, and a stop that greedy_repack just
-        repacked would repack the same way. The search state changes only
-        through accepted moves, so an operator is not run again until some
-        move has been accepted since it last returned.
+        Each operator makes at most one improving move per call and returns
+        whether it made one, so it is called until it finds nothing. The
+        search state changes only through accepted moves, so an operator is
+        not called again until some move has been accepted since its last
+        call found nothing.
         """
         names = SINGLE_TRIP_OPERATORS if self.variant is Variant.SINGLE else MULTI_TRIP_OPERATORS
         operators = [getattr(self, name) for name in names]
-        settled = [-1] * len(operators)  # self.moves when each operator last returned
+        settled = [-1] * len(operators)  # self.moves when each operator last found nothing
         improved = True
         while improved:
             improved = False
             for idx, op in enumerate(operators):
                 if settled[idx] == self.moves:
                     continue
-                improved |= op()
+                while op():
+                    improved = True
                 settled[idx] = self.moves
 
     def export_solution(self) -> Solution:
@@ -878,18 +800,6 @@ class DeltaCache:
         if self._position != {node: idx for idx, node in enumerate(self.tour)}:
             errors.append("position map stale")
         return errors
-
-
-def delta_add_customer_single(i: int, k: int, cache: DeltaCache) -> float:
-    """Wait increase at node ``i`` from adding customer ``k`` (single-trip)."""
-    return max(0.0, cache.trip[i][k] - cache.tf.get(i, 0.0))
-
-
-def delta_remove_customer_single(i: int, k: int, cache: DeltaCache) -> float:
-    """Wait decrease at node ``i`` from removing customer ``k`` (single-trip)."""
-    if cache.trip[i][k] < cache.tf[i]:
-        return 0.0
-    return cache.tf[i] - cache.ts[i]
 
 
 def local_search(sol: Solution, inst: Instance, mats: TimeMatrices, on_move=None) -> Solution:

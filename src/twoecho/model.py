@@ -129,23 +129,20 @@ class Instance:
 class TimeMatrices:
     """Derived travel times and reachability sets, cached once per instance.
 
-    ``t[i][j]`` truck hours (Manhattan / truck speed), ``t_prime[i][k]`` drone
-    one-way hours (Euclidean / drone speed), ``trip = 2 * t_prime``.
-    ``w_sets[i]`` lists customers a drone from node i can serve within
-    endurance; ``v_sets[k]`` is the transpose; ``v_serve[k]`` drops the depot,
-    which never launches drones.
+    ``t[i][j]`` truck hours (Manhattan / truck speed), ``trip[i][k]`` drone
+    round-trip hours from node i to customer k (twice Euclidean / drone
+    speed), ``reach[i][k]`` whether that trip is within endurance.
+    ``w_sets[i]`` lists customers a drone from node i can serve;
+    ``v_serve[k]`` lists the nodes that can serve customer k, without the
+    depot, which never launches drones. All are nested lists and tuples,
+    which index faster than numpy arrays one element at a time.
     """
 
-    t: np.ndarray
-    t_prime: np.ndarray
-    trip: np.ndarray
-    reach: np.ndarray
+    t: list[list[float]]
+    trip: list[list[float]]
+    reach: list[list[bool]]
     w_sets: tuple[tuple[int, ...], ...]
-    v_sets: tuple[tuple[int, ...], ...]
     v_serve: tuple[tuple[int, ...], ...]
-    t_rows: list = field(repr=False, compare=False, default_factory=list)
-    trip_rows: list = field(repr=False, compare=False, default_factory=list)
-    reach_rows: list = field(repr=False, compare=False, default_factory=list)
 
 
 def build_time_matrices(inst: Instance) -> TimeMatrices:
@@ -155,25 +152,19 @@ def build_time_matrices(inst: Instance) -> TimeMatrices:
     t = np.abs(tn[:, None, :] - tn[None, :, :]).sum(axis=2) / inst.truck_speed
     if inst.m:
         diff = tn[:, None, :] - cu[None, :, :]
-        t_prime = np.sqrt((diff * diff).sum(axis=2)) / inst.drone_speed
+        one_way = np.sqrt((diff * diff).sum(axis=2)) / inst.drone_speed
     else:
-        t_prime = np.zeros((inst.n, 0))
-    trip = 2.0 * t_prime
+        one_way = np.zeros((inst.n, 0))
+    trip = 2.0 * one_way
     reach = trip <= inst.endurance + TIME_EPS
     w_sets = tuple(tuple(np.flatnonzero(reach[i]).tolist()) for i in range(inst.n))
-    v_sets = tuple(tuple(np.flatnonzero(reach[:, k]).tolist()) for k in range(inst.m))
-    v_serve = tuple(tuple(i for i in vk if i != 0) for vk in v_sets)
+    v_serve = tuple(tuple((np.flatnonzero(reach[1:, k]) + 1).tolist()) for k in range(inst.m))
     return TimeMatrices(
-        t=t,
-        t_prime=t_prime,
-        trip=trip,
-        reach=reach,
+        t=t.tolist(),
+        trip=trip.tolist(),
+        reach=reach.tolist(),
         w_sets=w_sets,
-        v_sets=v_sets,
         v_serve=v_serve,
-        t_rows=t.tolist(),
-        trip_rows=trip.tolist(),
-        reach_rows=reach.tolist(),
     )
 
 
@@ -374,7 +365,7 @@ def check_feasibility(sol: Solution, inst: Instance, mats: TimeMatrices) -> list
             continue
         if i not in visited:
             out.append(UnvisitedNodeViolation(k, i))
-        if mats.trip_rows[i][k] > inst.endurance + TIME_EPS:
+        if mats.trip[i][k] > inst.endurance + TIME_EPS:
             out.append(RangeViolation(k, i))
 
     served: dict[int, int] = {}
@@ -418,7 +409,7 @@ def evaluate(sol: Solution, inst: Instance, mats: TimeMatrices, store: bool = Tr
     per_drone: dict[int, list[list[float]]] = {}
     if sol.variant is Variant.MULTI:
         per_drone = {i: [[] for _ in range(inst.num_drones)] for i in sol.tour}
-    trip = mats.trip_rows
+    trip = mats.trip
     for k in range(inst.m):
         i = sol.assign[k]
         trips_at[i].append(trip[i][k])
@@ -438,12 +429,12 @@ def evaluate(sol: Solution, inst: Instance, mats: TimeMatrices, store: bool = Tr
     prev = sol.tour[0]
     arrivals[prev] = 0.0
     for i in sol.tour[1:]:
-        leg = mats.t_rows[prev][i]
+        leg = mats.t[prev][i]
         clock += waits[prev] + leg
         travel += leg
         arrivals[i] = clock
         prev = i
-    closing = mats.t_rows[prev][0]
+    closing = mats.t[prev][0]
     objective = clock + waits[prev] + closing
     travel += closing
     wait_time = sum(waits.values())

@@ -1,8 +1,9 @@
 """Independent oracles for the solver code.
 
-Brute-force enumeration only, no shared solver code, plus one reference
-implementation: the array-based construction that the incremental one in
-``twoecho.construct`` must reproduce draw for draw.
+Brute-force enumeration only, no shared solver code, plus two reference
+implementations: the array-based construction that the incremental one in
+``twoecho.construct`` must reproduce draw for draw, and the cost of one
+serving choice that its roulette weights must invert.
 """
 
 import itertools
@@ -37,8 +38,7 @@ def brute_force_optimum(inst, mats, variant):
     from twoecho import Variant
 
     n, m, u = inst.n, inst.m, inst.num_drones
-    t = mats.t.tolist()
-    trip = mats.trip.tolist()
+    t, trip = mats.t, mats.trip
     serve = mats.v_serve
     multi = variant is Variant.MULTI
     best = float("inf")
@@ -164,8 +164,8 @@ def reference_construct(inst, mats, variant, rng):
 
     n, m, u = inst.n, inst.m, inst.num_drones
     single = variant is Variant.SINGLE
-    t, trip = mats.t, mats.trip
-    launch_ok = mats.reach.copy()
+    t, trip = np.asarray(mats.t), np.asarray(mats.trip)
+    launch_ok = np.array(mats.reach, dtype=bool)
     launch_ok[0, :] = False
     tour = [0]
     visited = np.zeros(n, dtype=bool)
@@ -231,3 +231,20 @@ def reference_construct(inst, mats, variant, rng):
     sol = Solution(variant, tour, assign, drone_of if not single else None)
     evaluate(sol, inst, mats)
     return sol
+
+
+def assignment_cost(k, i, state):
+    """Cost of serving customer ``k`` from node ``i`` in a
+    ``twoecho.construct.ConstructionState``: the wait increase at ``i``,
+    plus the node's chosen insertion cost when the truck does not stop there
+    yet."""
+    from twoecho import Variant
+
+    trip = state.mats.trip[i][k]
+    if state.variant is Variant.SINGLE:
+        delta = max(trip - state.wait[i], 0.0)
+    else:
+        delta = max(min(state.loads[i]) + trip - state.wait[i], 0.0)
+    if not state.visited[i]:
+        delta += state.step_ic[i]
+    return delta

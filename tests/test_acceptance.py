@@ -119,7 +119,8 @@ def _harvest_operator(op_name, variant, rng, target=1000, max_rounds=4000):
             checked += 1
 
         cache.on_move = hook
-        getattr(cache, op_name)()
+        while getattr(cache, op_name)():
+            pass
     return checked
 
 
@@ -252,7 +253,7 @@ def test_criterion_7_lp_export_counts_and_round_trip(tmp_path):
     values = tmp_path / "values.sol"
     values.write_text(
         f"x_0_{i} 1\nx_{i}_{inst.n} 1\ny_{i} 1\nz_{i}_0 1\n"
-        f"a_{i} {mats.t[0, i]}\ns_{i} {mats.trip[i, 0]}\n"
+        f"a_{i} {mats.t[0][i]}\ns_{i} {mats.trip[i][0]}\n"
         f"a_{inst.n} {best.objective}\n"
     )
     sol = import_milp_solution(values, inst, mats)

@@ -74,7 +74,7 @@ def test_compare_mode_grid():
     inst = generate_coincident(d=15, n_total=6, seed=3)
     mats = build_time_matrices(inst)
     for k in range(inst.m):
-        assert mats.trip[k + 1, k] == 0.0  # self-service flight is free
+        assert mats.trip[k + 1][k] == 0.0  # self-service flight is free
     cfg = GraspConfig(variant=Variant.MULTI, n_max=40, seed=1)
     rows = compare_mode(inst, speeds=[40, 50], fleet_sizes=[1, 2], cfg=cfg)
     assert len(rows) == 4

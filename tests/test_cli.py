@@ -208,3 +208,44 @@ def test_solve_reports_repeated_starts(tiny_instance, tmp_path, capsys):
     report = load_report(rep_path)
     assert report.repeated_starts > 0
     assert f"({report.repeated_starts} repeated starts)" in capsys.readouterr().out
+
+
+def test_bench_sizes_the_fleet_at_40_kmh(tmp_path):
+    # at the instance's 60 km/h the fleet could be one drone smaller than at
+    # 40 km/h, too small for single-trip construction at 40 km/h
+    from twoecho import build_time_matrices, compute_u_min
+
+    inst_path = tmp_path / "i.json"
+    out = tmp_path / "bench.csv"
+    run_cli("gen", "--d", 20, "--n", 5, "--m", 10, "--drone-speed", 60, "--seed", 10, "--out", inst_path)
+    inst = load_instance(inst_path)
+    at_40 = inst.replaced(drone_speed=40.0)
+    u_min = compute_u_min(at_40, build_time_matrices(at_40))
+    assert u_min > compute_u_min(inst, build_time_matrices(inst))
+    assert (
+        run_cli(
+            "bench", inst_path, "--speeds", "40", "--u-offsets", "0", "--iters", 200,
+            "--skip-exact", "--out", out,
+        )
+        == 0
+    )
+    rows = list(csv.DictReader(out.open()))
+    assert [int(row["u"]) for row in rows] == [u_min]
+
+
+def test_out_of_range_values_are_usage_errors(tiny_instance, tmp_path, capsys):
+    coincident = tmp_path / "c.json"
+    run_cli("gen", "--d", 15, "--n", 6, "--seed", 5, "--coincident", "--out", coincident)
+    out = tmp_path / "out"
+    _assert_usage_error(capsys, "compare-tsp", coincident, "--fleet", 0, "--iters", 5, "--out", out)
+    _assert_usage_error(capsys, "compare-tsp", coincident, "--speeds", 30, "--iters", 5, "--out", out)
+    _assert_usage_error(
+        capsys, "bench", tiny_instance, "--u-offsets", -5, "--iters", 5, "--skip-exact", "--out", out
+    )
+    _assert_usage_error(capsys, "bench", tiny_instance, "--speeds", 30, "--iters", 5, "--out", out)
+    _assert_usage_error(capsys, "gen", "--d", 10, "--n", 5, "--coincident", "--truck-speed", 50, "--out", out)
+    _assert_usage_error(capsys, "gen", "--d", 0, "--n", 5, "--out", out)
+    _assert_usage_error(capsys, "gen", "--d", 10, "--n", 0, "--out", out)
+    _assert_usage_error(capsys, "gen", "--d", 10, "--n", 1, "--m", 3, "--out", out)
+    _assert_usage_error(capsys, "gen", "--d", 10, "--n", 3, "--m", -1, "--out", out)
+    assert not out.exists()

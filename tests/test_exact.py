@@ -39,9 +39,9 @@ def test_single_customer_closed_form():
     inst = make_instance([(0, 0), (8, 0), (2, 2)], [(8, 6)], num_drones=1)
     mats = build_time_matrices(inst)
     expected = min(
-        2 * mats.t[0, i] + mats.trip[i, 0]
+        2 * mats.t[0][i] + mats.trip[i][0]
         for i in (1, 2)
-        if mats.reach[i, 0]
+        if mats.reach[i][0]
     )
     for variant in (Variant.SINGLE, Variant.MULTI):
         res = solve_exact(inst, mats, variant)

@@ -61,7 +61,7 @@ def test_coincident_instance_shape():
     assert inst.n == 8 and inst.m == 7
     mats = build_time_matrices(inst)
     for k in range(inst.m):
-        assert mats.trip[k + 1, k] == 0.0
+        assert mats.trip[k + 1][k] == 0.0
 
 
 def test_u_min_forced_pileup():

@@ -15,10 +15,7 @@ from twoecho import (
     local_search,
     solve_exact,
 )
-from twoecho.localsearch import (
-    delta_add_customer_single,
-    delta_remove_customer_single,
-)
+from twoecho.localsearch import MULTI_TRIP_OPERATORS, SINGLE_TRIP_OPERATORS
 
 
 def _cache_for(truck, customers, assign, variant=Variant.SINGLE, drone_of=None, **kw):
@@ -29,22 +26,6 @@ def _cache_for(truck, customers, assign, variant=Variant.SINGLE, drone_of=None, 
     return inst, mats, DeltaCache(sol, inst, mats)
 
 
-def test_delta_add_customer_single():
-    # node 1 currently waits 0.8; trips of 0.6, 1.0 and an empty node
-    inst, mats, cache = _cache_for(
-        [(0, 0), (10, 0)],
-        [(10, 16), (10, 12), (10, 20), (10, 10)],
-        {0: 1},
-        endurance=2.0,
-        num_drones=4,
-    )
-    assert cache.tf[1] == pytest.approx(0.8)
-    assert delta_add_customer_single(1, 1, cache) == pytest.approx(0.0)  # 0.6 trip
-    assert delta_add_customer_single(1, 2, cache) == pytest.approx(0.2)  # 1.0 trip
-    empty = DeltaCache(Solution(Variant.SINGLE, [0], {}), inst, mats)
-    assert delta_add_customer_single(1, 3, empty) == pytest.approx(0.5)
-
-
 def test_delta_remove_customer_single():
     inst, mats, cache = _cache_for(
         [(0, 0), (10, 0)],
@@ -53,9 +34,9 @@ def test_delta_remove_customer_single():
         endurance=2.0,
         num_drones=2,
     )
-    # trips {0.8, 0.5}
-    assert delta_remove_customer_single(1, 1, cache) == pytest.approx(0.0)
-    assert delta_remove_customer_single(1, 0, cache) == pytest.approx(0.3)
+    # trips {0.8, 0.5}: only the longer one's leaving shortens the wait
+    assert cache._leave_delta(1, 1) == pytest.approx(0.0)
+    assert cache._leave_delta(1, 0) == pytest.approx(-0.3)
 
 
 def test_delta_remove_with_tied_maximum():
@@ -68,7 +49,7 @@ def test_delta_remove_with_tied_maximum():
     )
     assert cache.tf[1] == pytest.approx(0.8)
     assert cache.ts[1] == pytest.approx(0.8)
-    assert delta_remove_customer_single(1, 0, cache) == pytest.approx(0.0)
+    assert cache._leave_delta(1, 0) == pytest.approx(0.0)
 
 
 def test_truck_operators_reach_permutation_optimum():
@@ -93,7 +74,7 @@ def test_truck_operators_reach_permutation_optimum():
             moved |= cache.relocate_truck_node()
             moved |= cache.swap_truck_node()
             moved |= cache.two_opt()
-        t = mats.t_rows
+        t = mats.t
         best = min(
             sum(t[a][b] for a, b in zip((0,) + perm, perm + (0,)))
             for perm in itertools.permutations((1, 2, 3))
@@ -277,3 +258,22 @@ def test_local_search_deterministic():
     a = local_search(sol.copy(), inst, mats)
     b = local_search(sol.copy(), inst, mats)
     assert a.canonical_json() == b.canonical_json()
+
+
+def test_operators_are_looked_up_on_the_class(monkeypatch):
+    # a tracer counts operator calls by rebinding the class attributes
+    for name in SINGLE_TRIP_OPERATORS + MULTI_TRIP_OPERATORS:
+        assert callable(getattr(DeltaCache, name)), name
+    calls = []
+    two_opt = DeltaCache.two_opt
+
+    def counting(cache):
+        calls.append(cache)
+        return two_opt(cache)
+
+    monkeypatch.setattr(DeltaCache, "two_opt", counting)
+    rng = np.random.default_rng(6)
+    inst = random_instance(rng, n_lo=5, n_hi=5, m_lo=6, m_hi=6, u_lo=2, u_hi=2)
+    mats = build_time_matrices(inst)
+    local_search(random_feasible_solution(inst, mats, Variant.MULTI, rng), inst, mats)
+    assert calls

@@ -72,8 +72,8 @@ def _m1_instance():
 def test_import_round_trip_single(tmp_path):
     inst, mats = _m1_instance()
     n = inst.n
-    t01 = float(mats.t[0, 1])
-    trip = float(mats.trip[1, 0])
+    t01 = float(mats.t[0][1])
+    trip = float(mats.trip[1][0])
     values = tmp_path / "values.sol"
     values.write_text(
         "# hand-written optimum\n"

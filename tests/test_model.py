@@ -32,14 +32,14 @@ from twoecho.model import (
 def test_truck_time_manhattan():
     inst = make_instance([(0, 0), (3, 4)], [], truck_speed=40)
     mats = build_time_matrices(inst)
-    assert mats.t[0, 1] == pytest.approx((3 + 4) / 40)  # 0.175 h
-    assert mats.t[0, 1] == mats.t[1, 0]
+    assert mats.t[0][1] == pytest.approx((3 + 4) / 40)  # 0.175 h
+    assert mats.t[0][1] == mats.t[1][0]
 
 
 def test_drone_time_euclidean():
     inst = make_instance([(0, 0)], [(3, 4)], drone_speed=50)
     mats = build_time_matrices(inst)
-    assert mats.t_prime[0, 0] == pytest.approx(5 / 50)  # 0.1 h
+    assert mats.trip[0][0] == pytest.approx(2 * 5 / 50)  # 0.1 h each way
 
 
 def test_unreachable_customer_makes_instance_invalid():
@@ -54,13 +54,14 @@ def test_reach_sets_are_duals():
     mats = build_time_matrices(inst)
     for i in range(inst.n):
         for k in range(inst.m):
-            assert (k in mats.w_sets[i]) == (i in mats.v_sets[k])
-            assert (k in mats.w_sets[i]) == bool(mats.reach[i, k])
-    assert np.allclose(mats.t, mats.t.T)
+            assert (k in mats.w_sets[i]) == bool(mats.reach[i][k])
+            # v_serve leaves out the depot, which never launches drones
+            assert (k in mats.w_sets[i] and i > 0) == (i in mats.v_serve[k])
+    assert np.allclose(mats.t, np.transpose(mats.t))
     for i in range(inst.n):
         for j in range(inst.n):
             for k in range(inst.n):
-                assert mats.t[i, j] <= mats.t[i, k] + mats.t[k, j] + 1e-12
+                assert mats.t[i][j] <= mats.t[i][k] + mats.t[k][j] + 1e-12
 
 
 def test_node_wait_single_cases():
