@@ -330,9 +330,9 @@ def _cmd_bench(args) -> int:
     grid = []
     for path in files:
         inst = load_instance(path)
-        # fleet sizes come from the 40 km/h reference drone speed, so that
-        # every grid speed down to 40 km/h can serve every customer
-        ref = inst.replaced(drone_speed=max(40.0, inst.truck_speed))
+        # fleet sizes come from the reference drone speed, so that every
+        # grid speed down to it can serve every customer
+        ref = inst.replaced(drone_speed=max(instancegen.REFERENCE_DRONE_SPEED, inst.truck_speed))
         u_min = instancegen.compute_u_min(ref, build_time_matrices(ref))
         for offset in args.u_offsets:
             _require(

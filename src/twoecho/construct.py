@@ -13,12 +13,12 @@ from itertools import accumulate
 
 from .model import (
     Instance,
-    InfeasibleInstanceError,
     Solution,
     TimeMatrices,
     TwoEchoError,
     Variant,
     evaluate,
+    require_launch_sites,
 )
 
 EPSILON = 1e-6  # hours; keeps zero-cost candidates off the division by zero
@@ -215,11 +215,7 @@ def construct_solution(
     ``waits``, ``arrivals`` and ``objective`` stay unset, for a caller that
     evaluates it later anyway, as the GRASP loop does after local search.
     """
-    for k, sites in enumerate(mats.v_serve):
-        if not sites:
-            raise InfeasibleInstanceError(
-                f"customer {k} has no launch-capable truck node within drone range"
-            )
+    require_launch_sites(mats.v_serve)
     state = ConstructionState(inst, mats, variant)
     while state.pending:
         state.commit(*state.draw(rng))

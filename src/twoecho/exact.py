@@ -23,6 +23,7 @@ from .model import (
     Variant,
     build_time_matrices,
     evaluate,
+    require_launch_sites,
 )
 
 
@@ -47,7 +48,6 @@ class SearchProof:
 
     subsets: int
     assignments: int
-    complete: bool = True
 
 
 @dataclass
@@ -202,12 +202,9 @@ def solve_exact(
         evaluate(sol, inst, mats)
         return ExactResult(sol, sol.objective, SearchProof(subsets=1, assignments=1))
 
+    require_launch_sites(mats.v_serve)
     serve_bits = []
-    for k, sites in enumerate(mats.v_serve):
-        if not sites:
-            raise InfeasibleInstanceError(
-                f"customer {k} has no launch-capable truck node within drone range"
-            )
+    for sites in mats.v_serve:
         bits = 0
         for i in sites:
             bits |= 1 << (i - 1)
@@ -370,11 +367,7 @@ def export_milp(
     """
     if big_m <= 0:
         raise ValueError("big_m must be a positive upper bound on the objective")
-    for k, sites in enumerate(mats.v_serve):
-        if not sites:
-            raise InfeasibleInstanceError(
-                f"customer {k} has no launch-capable truck node within drone range"
-            )
+    require_launch_sites(mats.v_serve)
     n, m, u = inst.n, inst.m, inst.num_drones
     multi = variant is Variant.MULTI
     t = mats.t

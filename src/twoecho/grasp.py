@@ -96,9 +96,9 @@ def _run_stream(
 
 
 def _worker(args):
-    inst, variant, iterations, seed, time_limit = args
+    inst, variant, iterations, seed, time_limit, on_move = args
     mats = build_time_matrices(inst)
-    return _run_stream(inst, mats, variant, iterations, seed, time_limit)
+    return _run_stream(inst, mats, variant, iterations, seed, time_limit, on_move)
 
 
 def run(
@@ -113,6 +113,10 @@ def run(
     iterations are split evenly, each worker gets a derived seed, and the
     results merge by objective with a canonical-encoding tie-break, so a
     fixed thread count is deterministic too.
+
+    ``on_move(name, delta)`` is called for every accepted local-search move;
+    with more than one thread it runs in the workers, so it must be picklable
+    (a module-level function is).
     """
     if mats is None:
         mats = build_time_matrices(inst)
@@ -128,7 +132,7 @@ def run(
             for w in range(cfg.threads)
         ]
         jobs = [
-            (inst, cfg.variant, shares[w], worker_seed(cfg.seed, w), cfg.time_limit)
+            (inst, cfg.variant, shares[w], worker_seed(cfg.seed, w), cfg.time_limit, on_move)
             for w in range(cfg.threads)
             if shares[w] > 0
         ]

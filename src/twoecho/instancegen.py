@@ -6,19 +6,19 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
 
 from .model import (
     Instance,
-    InfeasibleInstanceError,
     Point,
     TimeMatrices,
     TwoEchoError,
+    require_launch_sites,
 )
 
 MAX_DRAWS_PER_CUSTOMER = 10**6
 RNG_NAME = "numpy-pcg64"
+# km/h; customers are placed, and fleets sized, for the slowest drone of the speed grid
+REFERENCE_DRONE_SPEED = 40.0
 
 
 class GenerationError(TwoEchoError):
@@ -30,7 +30,7 @@ class GenConfig:
     """Parameters for random square instances.
 
     Customers are resampled until each lies within drone range of at least
-    one launch-capable truck node, judged at ``reference_drone_speed`` so a
+    one launch-capable truck node, judged at ``REFERENCE_DRONE_SPEED`` so a
     single geometry remains feasible across the whole speed grid.
     """
 
@@ -41,7 +41,6 @@ class GenConfig:
     drone_speed: float = 40.0
     endurance: float = 0.5
     seed: int = 0
-    reference_drone_speed: float = 40.0
 
     def __post_init__(self):
         if self.d <= 0:
@@ -62,7 +61,7 @@ def generate(cfg: GenConfig) -> Instance:
     """
     rng = np.random.default_rng(cfg.seed)
     truck = rng.uniform(0.0, cfg.d, size=(cfg.n_truck, 2))
-    radius = cfg.endurance * cfg.reference_drone_speed / 2.0
+    radius = cfg.endurance * REFERENCE_DRONE_SPEED / 2.0
     launch_sites = truck[1:]
     if cfg.m_customers > 0 and len(launch_sites) == 0:
         raise GenerationError("no launch-capable truck node: every customer would be unservable")
@@ -136,37 +135,42 @@ def assignment_witness(
     """Assign each customer to one of its candidate nodes with at most ``cap``
     customers per node; returns the assignment or None if impossible.
 
-    Solved as a max-flow problem: source -> customer (1) -> node (1) -> sink (cap).
+    Solves the max-flow source -> customer (1) -> node (1) -> sink (cap) by
+    augmenting paths: each customer in turn searches breadth-first for a node
+    with room, where a full node lets one of its customers move on, and the
+    customers on the path found each move one node along it. A customer with
+    no such path cannot be added to any assignment of the ones before it.
     """
-    m = len(serve_sets)
-    if m == 0:
-        return {}
-    if cap < 1:
+    if serve_sets and cap < 1:
         return None
-    src = 0
-    sink = 1 + m + num_nodes
-    rows, cols, caps = [], [], []
-    for k in range(m):
-        rows.append(src)
-        cols.append(1 + k)
-        caps.append(1)
-        for i in serve_sets[k]:
-            rows.append(1 + k)
-            cols.append(1 + m + i)
-            caps.append(1)
-    for i in range(num_nodes):
-        rows.append(1 + m + i)
-        cols.append(sink)
-        caps.append(cap)
-    graph = csr_matrix((caps, (rows, cols)), shape=(sink + 1, sink + 1))
-    result = maximum_flow(graph, src, sink)
-    if result.flow_value < m:
-        return None
-    flow = result.flow.tocoo()
     witness: dict[int, int] = {}
-    for r, c, v in zip(flow.row, flow.col, flow.data):
-        if v > 0 and 1 <= r <= m and 1 + m <= c < sink:
-            witness[r - 1] = c - 1 - m
+    members: list[list[int]] = [[] for _ in range(num_nodes)]
+    for k in range(len(serve_sets)):
+        mover: dict[int, int] = {}  # node reached -> customer that would move into it
+        queue = [k]
+        free = None
+        for c in queue:  # the queue grows while it is read
+            for i in serve_sets[c]:
+                if i in mover:
+                    continue
+                mover[i] = c
+                if len(members[i]) < cap:
+                    free = i
+                    break
+                queue.extend(members[i])
+            if free is not None:
+                break
+        if free is None:
+            return None
+        node = free
+        while node is not None:
+            c = mover[node]
+            prev = witness.get(c)
+            witness[c] = node
+            members[node].append(c)
+            if prev is not None:
+                members[prev].remove(c)
+            node = prev
     return witness
 
 
@@ -174,11 +178,7 @@ def min_fleet_size(serve_sets: Sequence[Sequence[int]], num_nodes: int) -> int:
     """Binary search for the smallest per-node cap admitting a full assignment."""
     if not serve_sets:
         return 1
-    for k, sites in enumerate(serve_sets):
-        if not sites:
-            raise InfeasibleInstanceError(
-                f"customer {k} has no launch-capable truck node within drone range"
-            )
+    require_launch_sites(serve_sets)
     lo, hi = 1, len(serve_sets)
     while lo < hi:
         mid = (lo + hi) // 2

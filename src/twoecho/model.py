@@ -145,6 +145,16 @@ class TimeMatrices:
     v_serve: tuple[tuple[int, ...], ...]
 
 
+def require_launch_sites(serve_sets: Sequence[Sequence[int]]) -> None:
+    """Raise :class:`InfeasibleInstanceError` for the first customer without
+    a launch-capable truck node in drone range (an empty ``v_serve`` entry)."""
+    for k, sites in enumerate(serve_sets):
+        if not sites:
+            raise InfeasibleInstanceError(
+                f"customer {k} has no launch-capable truck node within drone range"
+            )
+
+
 def build_time_matrices(inst: Instance) -> TimeMatrices:
     """Compute truck/drone time matrices and the reachability sets."""
     tn = np.asarray(inst.truck_nodes, dtype=float)
@@ -175,13 +185,9 @@ def node_wait_single(trips: Sequence[float], num_drones: int) -> float:
     return max(trips, default=0.0)
 
 
-def node_wait_multi(per_drone_trips: Mapping[int, Sequence[float]] | Sequence[Sequence[float]]) -> float:
+def node_wait_multi(per_drone_trips: Iterable[Sequence[float]]) -> float:
     """Stop wait when drones fly repeatedly: the busiest drone's total airtime."""
-    if isinstance(per_drone_trips, Mapping):
-        rows: Iterable[Sequence[float]] = per_drone_trips.values()
-    else:
-        rows = per_drone_trips
-    return max((sum(r, 0.0) for r in rows), default=0.0)
+    return max((sum(r, 0.0) for r in per_drone_trips), default=0.0)
 
 
 # --- solutions ---------------------------------------------------------------
@@ -394,12 +400,12 @@ class Evaluation(NamedTuple):
     wait_time: float
 
 
-def evaluate(sol: Solution, inst: Instance, mats: TimeMatrices, store: bool = True) -> Evaluation:
-    """Recompute waits, arrival times and the completion-time objective from scratch.
+def evaluate(sol: Solution, inst: Instance, mats: TimeMatrices) -> Evaluation:
+    """Recompute waits, arrival times and the completion-time objective from
+    scratch, and refresh the caches on ``sol``.
 
     Raises :class:`InfeasibleSolutionError` listing all violations if the
-    solution is structurally infeasible. With ``store`` (default) the caches
-    on ``sol`` are refreshed.
+    solution is structurally infeasible.
     """
     violations = check_feasibility(sol, inst, mats)
     if violations:
@@ -439,10 +445,9 @@ def evaluate(sol: Solution, inst: Instance, mats: TimeMatrices, store: bool = Tr
     travel += closing
     wait_time = sum(waits.values())
 
-    if store:
-        sol.waits = dict(waits)
-        sol.arrivals = dict(arrivals)
-        sol.objective = objective
+    sol.waits = dict(waits)
+    sol.arrivals = dict(arrivals)
+    sol.objective = objective
     return Evaluation(objective, arrivals, waits, travel, wait_time)
 
 

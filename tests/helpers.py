@@ -1,5 +1,10 @@
 """Shared builders for the test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from twoecho import (
@@ -93,3 +98,15 @@ def dense_drone_instance(rng, m=10, num_drones=3, d=20.0):
 
 def mats_for(inst):
     return build_time_matrices(inst)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*args, timeout=120):
+    """Run a fresh interpreter that imports this checkout's ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=timeout
+    )

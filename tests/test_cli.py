@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from helpers import run_python
 from twoecho import load_instance, load_solution
 from twoecho.cli import main
 from twoecho.model import load_report
@@ -249,3 +250,14 @@ def test_out_of_range_values_are_usage_errors(tiny_instance, tmp_path, capsys):
     _assert_usage_error(capsys, "gen", "--d", 10, "--n", 1, "--m", 3, "--out", out)
     _assert_usage_error(capsys, "gen", "--d", 10, "--n", 3, "--m", -1, "--out", out)
     assert not out.exists()
+
+
+def test_trace_reaches_stderr_from_workers(tmp_path):
+    inst_path = tmp_path / "i.json"
+    run_cli("gen", "--d", 20, "--n", 6, "--m", 10, "--num-drones", 2, "--seed", 7, "--out", inst_path)
+    done = run_python(
+        "-c", "import sys; from twoecho.cli import main; sys.exit(main())",
+        "solve", inst_path, "--iters", 200, "--trace", "--threads", 2,
+    )
+    assert done.returncode == 0, done.stderr
+    assert any(line.startswith("move ") for line in done.stderr.splitlines())

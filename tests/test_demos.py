@@ -4,14 +4,9 @@ Demo 04 is left out: its truck-only comparison grid takes about 13 s on a
 2-vCPU machine, where each of these takes 2 s or less.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from helpers import ROOT, run_python
 
 
 @pytest.mark.parametrize(
@@ -24,10 +19,5 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_demo_runs(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / script)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    done = run_python(ROOT / "demos" / script)
     assert done.returncode == 0, done.stderr

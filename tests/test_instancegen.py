@@ -3,16 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from helpers import make_instance
+from helpers import make_instance, run_python
 from oracles import brute_u_min
 from twoecho import (
     GenConfig,
     InfeasibleInstanceError,
+    Variant,
     build_time_matrices,
     compute_u_min,
     generate,
     generate_coincident,
 )
+from twoecho.construct import construct_solution
+from twoecho.exact import export_milp, solve_exact
 from twoecho.instancegen import GenerationError, assignment_witness, min_fleet_size
 from twoecho.model import euclidean, instance_to_json_dict
 
@@ -93,8 +96,34 @@ def test_u_min_requires_serviceable_customers():
     # reachable from the depot only: valid instance, but no launch site
     inst = make_instance([(0, 0), (30, 0)], [(0, 1)], d=40)
     mats = build_time_matrices(inst)
-    with pytest.raises(InfeasibleInstanceError):
-        compute_u_min(inst, mats)
+    message = "customer 0 has no launch-capable truck node within drone range"
+    for call in (
+        lambda: compute_u_min(inst, mats),
+        lambda: construct_solution(inst, mats, Variant.SINGLE, np.random.default_rng(0)),
+        lambda: solve_exact(inst, mats, Variant.MULTI),
+        lambda: export_milp(inst, mats, Variant.MULTI, big_m=10.0),
+    ):
+        with pytest.raises(InfeasibleInstanceError, match=message):
+            call()
+
+
+def test_witness_follows_a_long_augmenting_chain():
+    # customer j fits nodes j+1 and j+2; the last fits node 1 only, so every
+    # earlier customer must move one node on, in a single augmenting path
+    n = 3000
+    serve = [(j + 1, j + 2) for j in range(n - 1)] + [(1,)]
+    witness = assignment_witness(serve, n + 1, 1)
+    assert witness is not None and witness[n - 1] == 1
+    assert sorted(witness) == list(range(n))
+    assert all(witness[k] in serve[k] for k in range(n))
+    assert len(set(witness.values())) == n
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, twoecho; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = run_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_min_fleet_size_matches_bruteforce_structures():

@@ -73,17 +73,17 @@ def test_node_wait_single_cases():
 
 
 def test_node_wait_multi_cases():
-    assert node_wait_multi({0: [0.5, 0.8], 1: [0.6]}) == pytest.approx(1.3)
+    assert node_wait_multi([[0.5, 0.8], [0.6]]) == pytest.approx(1.3)
     assert node_wait_multi([[0.5, 0.8, 0.6]]) == pytest.approx(1.9)
-    assert node_wait_multi({0: [], 1: []}) == 0.0
+    assert node_wait_multi([[], []]) == 0.0
 
 
 @given(st.lists(st.floats(0.01, 0.5), min_size=1, max_size=6))
 def test_single_wait_never_exceeds_multi_wait(trips):
     u = len(trips)
-    singletons = {l: [t] for l, t in enumerate(trips)}
+    singletons = [[t] for t in trips]
     assert node_wait_single(trips, u) == pytest.approx(node_wait_multi(singletons))
-    lumped = {0: list(trips)}
+    lumped = [list(trips)]
     assert node_wait_single(trips, u) <= node_wait_multi(lumped) + 1e-12
 
 
