@@ -226,9 +226,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    limits = exact.ExactLimits(
+        _at_least_one("--max-nodes", args.max_nodes),
+        _at_least_one("--max-customers", args.max_customers),
+        _at_least_one("--max-drones", args.max_drones),
+    )
     inst = load_instance(args.instance)
     mats = build_time_matrices(inst)
-    limits = exact.ExactLimits(args.max_nodes, args.max_customers, args.max_drones)
     result = exact.solve_exact(inst, mats, _variant(args.variant), limits)
     print(
         f"{inst.name} optimum {result.objective:.6f} h "
@@ -240,6 +244,8 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_export_milp(args) -> int:
+    if args.big_m is not None:
+        _require(args.big_m > 0, f"--big-m must be positive, got {args.big_m:g}")
     inst = load_instance(args.instance)
     mats = build_time_matrices(inst)
     if args.model == "umin":

@@ -42,16 +42,22 @@ class ConstructionState:
     each customer keeps a weight for every node, zero where the node cannot
     serve it, so a seed gives the same sums and picks whichever entries
     changed.
+
+    Both variants put a customer on its node's least-loaded drone. A
+    single-trip node takes at most u customers (``cap``), so its wait, the
+    longest flight, is its largest load.
     """
 
     def __init__(self, inst: Instance, mats: TimeMatrices, variant: Variant):
         self.inst = inst
         self.mats = mats
-        self.variant = variant
         n, m, u = inst.n, inst.m, inst.num_drones
+        self.cap = u if variant is Variant.SINGLE else m
         self.tour = [0]
         self.visited = [True] + [False] * (n - 1)
         self.wait = [0.0] * n
+        # customers per node; loads cannot count them, as a customer at the
+        # node itself flies a 0.0 h trip
         self.count = [0] * n
         self.loads = [[0.0] * u for _ in range(n)]
         self.assign: dict[int, int] = {}
@@ -138,20 +144,17 @@ class ConstructionState:
 
     def _reweigh(self, i) -> None:
         """Recompute visited node ``i``'s weight for every pending customer:
-        the wait increase from adding the customer's trip, on the least
-        loaded drone in multi-trip mode, clamped at zero."""
+        the wait increase from adding the customer's trip on the least
+        loaded drone, clamped at zero; zero once the node is full."""
         unserved, weights, cums = self.unserved, self._weights, self._cums
-        if self.variant is Variant.SINGLE:
-            if self.count[i] >= self.inst.num_drones:
-                for k in self.mats.w_sets[i]:
-                    if unserved[k]:
-                        weights[k][i] = 0.0
-                        cums[k] = None
-                        self._sites[k] -= 1
-                return
-            base = 0.0
-        else:
-            base = min(self.loads[i])
+        if self.count[i] >= self.cap:
+            for k in self.mats.w_sets[i]:
+                if unserved[k]:
+                    weights[k][i] = 0.0
+                    cums[k] = None
+                    self._sites[k] -= 1
+            return
+        base = min(self.loads[i])
         trips = self.mats.trip[i]
         wait = self.wait[i]
         for k in self.mats.w_sets[i]:
@@ -186,16 +189,12 @@ class ConstructionState:
             self.tour.insert(pos, i)
             self.visited[i] = True
             self.tour_dirty = True
-        trip = self.mats.trip[i][k]
-        if self.variant is Variant.SINGLE:
-            self.count[i] += 1
-            self.wait[i] = max(self.wait[i], trip)
-        else:
-            loads = self.loads[i]
-            l = loads.index(min(loads))
-            loads[l] += trip
-            self.wait[i] = max(self.wait[i], loads[l])
-            self.drone_of[k] = l
+        loads = self.loads[i]
+        l = loads.index(min(loads))
+        loads[l] += self.mats.trip[i][k]
+        self.wait[i] = max(self.wait[i], loads[l])
+        self.drone_of[k] = l
+        self.count[i] += 1
         self.assign[k] = i
         self.unserved[k] = False
         self.pending.remove(k)

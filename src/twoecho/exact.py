@@ -196,6 +196,7 @@ def solve_exact(
         )
     n, m, u = inst.n, inst.m, inst.num_drones
     multi = variant is Variant.MULTI
+    cap = m if multi else u  # customers a stop may serve
 
     if m == 0:
         sol = Solution(variant, [0], {}, {} if multi else None)
@@ -222,7 +223,7 @@ def solve_exact(
         size = mask.bit_count()
         if size > m:
             continue
-        if not multi and m > u * size:
+        if m > cap * size:
             continue
         cand = [serve_bits[k] & mask for k in range(m)]
         if any(c == 0 for c in cand):
@@ -235,7 +236,6 @@ def solve_exact(
         nodes = [b + 1 for b in range(n - 1) if (mask >> b) & 1]
         order = sorted(range(m), key=lambda k: (bin(cand[k]).count("1"), k))
         cand_nodes = [[b + 1 for b in range(n - 1) if (cand[k] >> b) & 1] for k in range(m)]
-        counts = {i: 0 for i in nodes}
         waits = {i: 0.0 for i in nodes}
         trips_at: dict[int, list[float]] = {i: [] for i in nodes}
         assigned: dict[int, int] = {}
@@ -249,32 +249,30 @@ def solve_exact(
             if pos == m:
                 leaves += 1
                 best_obj = tour_cost + total_wait
-                best_payload = (tour, dict(assigned), {i: tuple(trips_at[i]) for i in nodes})
+                best_payload = (tour, dict(assigned))
                 return
             k = order[pos]
             remaining = m - pos
             for i in cand_nodes[k]:
-                cnt = counts[i]
-                if not multi and cnt >= u:
+                here = trips_at[i]
+                cnt = len(here)
+                if cnt >= cap:
                     continue
                 new_empties = empties - (1 if cnt == 0 else 0)
                 if new_empties > remaining - 1:
                     continue
                 tk = trip[i][k]
                 old_wait = waits[i]
-                if multi:
-                    trips_at[i].append(tk)
-                    packed = tuple(sorted(trips_at[i], reverse=True))
-                    new_wait = minmax_packing(packed, u)[0]
-                else:
+                here.append(tk)
+                if cnt < u:
+                    # a drone per flight: the stop waits for its longest flight
                     new_wait = old_wait if old_wait >= tk else tk
-                counts[i] = cnt + 1
+                else:
+                    new_wait = minmax_packing(tuple(sorted(here, reverse=True)), u)[0]
                 waits[i] = new_wait
                 assigned[k] = i
                 dfs(pos + 1, new_empties, total_wait + new_wait - old_wait)
-                if multi:
-                    trips_at[i].pop()
-                counts[i] = cnt
+                here.pop()
                 waits[i] = old_wait
                 del assigned[k]
 
@@ -283,7 +281,7 @@ def solve_exact(
     if best_payload is None:
         raise InfeasibleInstanceError("no feasible assignment exists at this fleet size")
 
-    tour, assignment, node_trips = best_payload
+    tour, assignment = best_payload
     drone_of = None
     if multi:
         drone_of = {}

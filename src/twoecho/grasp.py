@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -67,7 +68,12 @@ def _run_stream(
     done = failures = repeated = 0
     # Local search depends only on the tour and the two mappings, so a start
     # seen before reaches the same optimum, which cannot strictly beat best.
-    searched: set[tuple] = set()
+    # A key is the bytes of one array: the tour, then each customer's node,
+    # then (multi-trip) each customer's drone. m and the variant are fixed
+    # within a run, so the key's length fixes the tour's and no separator is
+    # needed. Node and drone indices fit two bytes up to 65,536 of each.
+    searched: set[bytes] = set()
+    code = "H" if max(inst.n, inst.num_drones) <= 1 << 16 else "L"
     customers = range(inst.m)
     start = time.perf_counter()
     for _ in range(iterations):
@@ -80,11 +86,11 @@ def _run_stream(
         except ConstructionFailed:
             failures += 1
             continue
-        key = (
-            tuple(sol.tour),
-            tuple(map(sol.assign.__getitem__, customers)),
-            None if sol.drone_of is None else tuple(map(sol.drone_of.__getitem__, customers)),
-        )
+        packed = array(code, sol.tour)
+        packed.extend(map(sol.assign.__getitem__, customers))
+        if sol.drone_of is not None:
+            packed.extend(map(sol.drone_of.__getitem__, customers))
+        key = packed.tobytes()
         if key in searched:
             repeated += 1
             continue

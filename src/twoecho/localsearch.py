@@ -1,10 +1,17 @@
 """First-improvement local search over truck tours and customer assignments.
 
-All operators compute their move's objective change from cached per-node
-data (longest / second-longest round trip for single-trip mode, per-drone
-workloads for multi-trip mode) and from edge times for tour changes, so a
-candidate is costed without re-evaluating the whole solution. Any accepted
-move strictly improves the objective by more than ``IMPROVE_EPS``.
+Both variants share one stop model. Every visited node keeps its customers
+on each of its u drones, each drone's load (the sum of its round trips),
+and the largest (the stop's wait), second-largest and smallest loads. A
+single-trip stop is a multi-trip stop that holds at most u customers: a
+customer joining a stop goes onto its least-loaded drone, so below u
+customers it lands on a drone with no other nonzero trip, and the wait, the
+longest flight, is the largest load in the same floating-point value.
+
+Operators compute their move's objective change from these per-node loads
+and from edge times for tour changes, so a candidate is costed without
+re-evaluating the whole solution. Any accepted move strictly improves the
+objective by more than ``IMPROVE_EPS``.
 
 Scan order inside every operator is fixed (tour position, then customer
 index, then drone index), so the search is deterministic given its input.
@@ -46,18 +53,21 @@ MULTI_TRIP_OPERATORS = (
 class DeltaCache:
     """Mutable search state with the caches needed for constant-time deltas.
 
-    Single-trip mode keeps, per visited node, the longest (``tf``) and
-    second-longest (``ts``, counted with multiplicity) assigned round trip.
-    Multi-trip mode keeps per-drone workloads and the customers on each
-    drone. Unvisited nodes get a lazily cached best insertion position that
-    is invalidated by any tour change.
+    Per visited node: the customers on each drone (``drones``), each
+    drone's load (``loads``), the largest load (``wait``), the
+    second-largest (``second``, counted with multiplicity, 0.0 with one
+    drone) and the smallest (``min_load``).
+    A node holds at most ``cap`` customers: u in single-trip mode, every
+    customer in multi-trip mode. Unvisited nodes get a lazily cached best
+    insertion position that is invalidated by any tour change.
     """
 
     def __init__(self, sol: Solution, inst: Instance, mats: TimeMatrices, on_move=None):
         self.inst = inst
         self.mats = mats
         self.variant = sol.variant
-        self.u = inst.num_drones
+        self.u = u = inst.num_drones
+        self.cap = u if sol.variant is Variant.SINGLE else inst.m
         self.on_move = on_move
         self.moves = 0
         self.t = mats.t
@@ -69,27 +79,27 @@ class DeltaCache:
         self.cust_at: dict[int, list[int]] = {i: [] for i in self.tour}
         for k in sorted(self.assign):
             self.cust_at[self.assign[k]].append(k)
+        if sol.drone_of is None:
+            # a single-trip start: each customer of a stop flies its own drone
+            self.drone_of = {k: l for custs in self.cust_at.values() for l, k in enumerate(custs)}
+        else:
+            self.drone_of = dict(sol.drone_of)
 
-        self.tf: dict[int, float] = {}
-        self.ts: dict[int, float] = {}
-        self.drone_of: dict[int, int] = {}
         self.drones: dict[int, list[list[int]]] = {}
         self.loads: dict[int, list[float]] = {}
-        self.min_load: dict[int, float] = {}
-        self.min_drone: dict[int, int] = {}
         self.wait: dict[int, float] = {}
-        if self.variant is Variant.SINGLE:
-            for i in self.tour:
-                self._refresh_single(i)
-        else:
-            self.drone_of = dict(sol.drone_of or {})
-            for i in self.tour:
-                self.drones[i] = [[] for _ in range(self.u)]
-                for k in self.cust_at[i]:
-                    self.drones[i][self.drone_of[k]].append(k)
-                self._refresh_loads(i)
-                self._refresh_multi(i)
-        self.wait_total = sum(self.wait.values())
+        self.second: dict[int, float] = {}
+        self.min_load: dict[int, float] = {}
+        drone_of, trip = self.drone_of, self.trip
+        for i, custs in self.cust_at.items():
+            row = trip[i]
+            drones = self.drones[i] = [[] for _ in range(u)]
+            loads = self.loads[i] = [0.0] * u
+            for k in custs:  # ascending, from 0.0: the order of every later load sum
+                l = drone_of[k]
+                drones[l].append(k)
+                loads[l] += row[k]
+            self._refresh_node(i)
         self.travel_time = self._legs_sum(self.tour)
         self._position: dict[int, int] = {}
         self._tour_version = 0
@@ -111,39 +121,16 @@ class DeltaCache:
         self._tour_version += 1
         self._position = {node: idx for idx, node in enumerate(self.tour)}
 
-    def _refresh_single(self, i):
-        best = second = 0.0
-        row = self.trip[i]
-        for k in self.cust_at[i]:
-            v = row[k]
-            if v > best:
-                second = best
-                best = v
-            elif v > second:
-                second = v
-        self.tf[i] = best
-        self.ts[i] = second
-        self.wait[i] = best
-
-    def _refresh_loads(self, i):
-        row = self.trip[i]
-        loads = [sum(map(row.__getitem__, dr)) for dr in self.drones[i]]
-        self.loads[i] = loads
-        best = loads.index(min(loads))
-        self.min_load[i] = loads[best]
-        self.min_drone[i] = best
-
-    def _refresh_multi(self, i):
-        self.wait[i] = max(self.loads[i]) if self.cust_at[i] else 0.0
-
     def _refresh_node(self, i):
-        old = self.wait[i]
-        if self.variant is Variant.SINGLE:
-            self._refresh_single(i)
-        else:
-            self._refresh_loads(i)
-            self._refresh_multi(i)
-        self.wait_total += self.wait[i] - old
+        """Re-rank node ``i``'s drone loads after some of them changed."""
+        ranked = sorted(self.loads[i])
+        self.wait[i] = ranked[-1]
+        self.second[i] = ranked[-2] if self.u > 1 else 0.0
+        self.min_load[i] = ranked[0]
+
+    def _idlest(self, i) -> int:
+        """The first of node ``i``'s least-loaded drones."""
+        return self.loads[i].index(self.min_load[i])
 
     def best_insertion(self, j) -> tuple[float, int]:
         """Cheapest position to splice unvisited node ``j`` into the tour."""
@@ -173,25 +160,15 @@ class DeltaCache:
     def _insert_node(self, j, pos):
         self.tour.insert(pos, j)
         self.cust_at[j] = []
-        self.wait[j] = 0.0
-        if self.variant is Variant.SINGLE:
-            self.tf[j] = 0.0
-            self.ts[j] = 0.0
-        else:
-            self.drones[j] = [[] for _ in range(self.u)]
-            self.loads[j] = [0.0] * self.u
-            self.min_load[j] = 0.0
-            self.min_drone[j] = 0
+        self.drones[j] = [[] for _ in range(self.u)]
+        self.loads[j] = [0.0] * self.u
+        self.wait[j] = self.second[j] = self.min_load[j] = 0.0
         self._bump_tour()
 
     def _drop_node(self, i):
         self.tour.remove(i)
-        del self.cust_at[i]
-        self.wait_total -= self.wait.pop(i)
-        if self.variant is Variant.SINGLE:
-            del self.tf[i], self.ts[i]
-        else:
-            del self.drones[i], self.loads[i], self.min_load[i], self.min_drone[i]
+        del self.cust_at[i], self.drones[i], self.loads[i], self.wait[i]
+        del self.second[i], self.min_load[i]
         self._bump_tour()
 
     def _remove_node_tour_delta(self, i) -> float:
@@ -202,37 +179,43 @@ class DeltaCache:
         return t[p][q] - t[p][i] - t[i][q]
 
     def _remove_customer(self, k):
+        """Take ``k`` off its node and drone; the node's ranks wait for a refresh."""
         i = self.assign.pop(k)
         self.cust_at[i].remove(k)
-        if self.variant is Variant.MULTI:
-            l = self.drone_of.pop(k)
-            self.drones[i][l].remove(k)
+        l = self.drone_of.pop(k)
+        mine = self.drones[i][l]
+        mine.remove(k)
+        self.loads[i][l] = sum(map(self.trip[i].__getitem__, mine), 0.0)
         return i
 
-    def _add_customer(self, k, i, drone=None):
+    def _add_customer(self, k, i, l):
+        """Put ``k`` on drone ``l`` of node ``i``; the node's ranks wait for a refresh."""
         self.assign[k] = i
         insort(self.cust_at[i], k)
-        if self.variant is Variant.MULTI:
-            self.drone_of[k] = drone
-            insort(self.drones[i][drone], k)
+        self.drone_of[k] = l
+        mine = self.drones[i][l]
+        insort(mine, k)
+        self.loads[i][l] = sum(map(self.trip[i].__getitem__, mine), 0.0)
 
     def _leave_delta(self, i, k) -> float:
         """Wait change at node ``i`` when customer ``k`` leaves and the others stay.
 
         Every move that takes ``k`` away from ``i`` changes ``i``'s wait by at
-        least this much, however it refills the node.
+        least this much, however it refills the node. When ``k`` flies from a
+        busiest drone, the wait becomes the larger of the second-largest load
+        and that drone's load without ``k``.
         """
-        if self.variant is Variant.SINGLE:
-            return (self.ts[i] if self.trip[i][k] >= self.tf[i] else self.tf[i]) - self.wait[i]
-        l = self.drone_of[k]
-        if self.loads[i][l] < self.wait[i]:
+        load = self.loads[i][self.drone_of[k]]
+        wait = self.wait[i]
+        if load < wait:
             return 0.0  # a busier drone keeps the wait
-        loads = list(self.loads[i])
-        loads[l] -= self.trip[i][k]
-        return max(loads) - self.wait[i]
+        rest = load - self.trip[i][k]
+        second = self.second[i]
+        return (second if second > rest else rest) - wait
 
-    def _multi_replace(self, i, k_out, k_in):
-        """Least-loaded placement of ``k_in`` after ``k_out`` leaves node ``i``."""
+    def _replace_delta(self, i, k_out, k_in):
+        """Wait change at node ``i`` and the drone for ``k_in`` when ``k_in``
+        replaces ``k_out`` there, on the least-loaded drone once ``k_out`` left."""
         loads = list(self.loads[i])
         loads[self.drone_of[k_out]] -= self.trip[i][k_out]
         l_in = loads.index(min(loads))
@@ -319,7 +302,6 @@ class DeltaCache:
 
     def swap_assignment1(self) -> bool:
         """Exchange the serving nodes of two customers."""
-        single = self.variant is Variant.SINGLE
         reach = self.reach
         m = self.inst.m
         assign = self.assign
@@ -335,8 +317,9 @@ class DeltaCache:
                 if i1 == i2 or not reach[i2][k1]:
                     continue
                 # each node's wait changes by at least its leave delta, and ends
-                # at least as long as the incoming trip; in single-trip mode
-                # exactly by the larger of the two
+                # at least as long as the incoming trip; exactly by the larger
+                # of the two when no drone carries two nonzero trips, as in
+                # single-trip mode
                 if leave[k1] is None:
                     leave[k1] = self._leave_delta(i1, k1)
                 if leave[k2] is None:
@@ -347,21 +330,16 @@ class DeltaCache:
                 low2, fill2 = leave[k2], trip[i2][k1] - wait[i2]
                 if fill2 > low2:
                     low2 = fill2
-                if single:
-                    delta = low1 + low2
-                    drones = (None, None)
-                else:
-                    if low1 + low2 >= -IMPROVE_EPS:
-                        continue
-                    d1, l1 = self._multi_replace(i1, k1, k2)
-                    d2, l2 = self._multi_replace(i2, k2, k1)
-                    delta = d1 + d2
-                    drones = (l1, l2)
+                if low1 + low2 >= -IMPROVE_EPS:
+                    continue
+                d1, l1 = self._replace_delta(i1, k1, k2)
+                d2, l2 = self._replace_delta(i2, k2, k1)
+                delta = d1 + d2
                 if delta < -IMPROVE_EPS:
                     self._remove_customer(k1)
                     self._remove_customer(k2)
-                    self._add_customer(k2, i1, drones[0])
-                    self._add_customer(k1, i2, drones[1])
+                    self._add_customer(k2, i1, l1)
+                    self._add_customer(k1, i2, l2)
                     self._refresh_node(i1)
                     self._refresh_node(i2)
                     self._accept("swap_assignment1", delta)
@@ -390,10 +368,10 @@ class DeltaCache:
 
     def re_assignment1(self) -> bool:
         """Move one customer to another node; insert or drop stops as needed."""
-        single = self.variant is Variant.SINGLE
-        u = self.u
+        cap = self.cap
         trip = self.trip
         wait = self.wait
+        min_load = self.min_load
         cust_at = self.cust_at
         serve = self.mats.v_serve
         for k in range(self.inst.m):
@@ -412,12 +390,9 @@ class DeltaCache:
                     continue
                 here = cust_at.get(j)
                 if here is not None:
-                    if single:
-                        if len(here) >= u:
-                            continue
-                        grow = trip[j][k] - self.tf[j]
-                    else:
-                        grow = self.min_load[j] + trip[j][k] - wait[j]
+                    if len(here) >= cap:
+                        continue
+                    grow = min_load[j] + trip[j][k] - wait[j]
                     add = grow if grow > 0.0 else 0.0
                     delta = rem + add + rem_tour
                     if delta < -IMPROVE_EPS:
@@ -459,10 +434,10 @@ class DeltaCache:
                         rem = -wait[i]
                         rem_tour = self._remove_node_tour_delta(i)
                     else:
-                        loads = list(self.loads[i])
-                        loads[self.drone_of[k1]] -= trip[i][k1]
-                        loads[self.drone_of[k2]] -= trip[i][k2]
-                        rem = max(loads) - wait[i]
+                        drone_of = self.drone_of
+                        rem = self._node_delta(
+                            i, ((drone_of[k1], -trip[i][k1]), (drone_of[k2], -trip[i][k2]))
+                        )
                         rem_tour = 0.0
                     if rem + rem_tour >= -IMPROVE_EPS:
                         continue  # the growth at the target node is never negative
@@ -508,19 +483,10 @@ class DeltaCache:
         if not visited:
             _, pos = self.best_insertion(j)
             self._insert_node(j, pos)
-        old_wait = self.wait[j]
         for k in ks:
             self._remove_customer(k)
-            if self.variant is Variant.SINGLE:
-                self._add_customer(k, j)
-            else:
-                self._add_customer(k, j, self.min_drone[j])
-                self._refresh_loads(j)
-        if self.variant is Variant.SINGLE:
-            self._refresh_single(j)
-        else:
-            self._refresh_multi(j)
-        self.wait_total += self.wait[j] - old_wait
+            self._add_customer(k, j, self._idlest(j))
+            self._refresh_node(j)
         if drop:
             self._drop_node(i)
         else:
@@ -541,15 +507,18 @@ class DeltaCache:
 
     def _move_drones(self, i, moves):
         """Each move is (customer, new_drone) within node ``i``."""
+        drones = self.drones[i]
+        touched = set()
         for k, l in moves:
             old = self.drone_of[k]
-            self.drones[i][old].remove(k)
-            insort(self.drones[i][l], k)
+            drones[old].remove(k)
+            insort(drones[l], k)
             self.drone_of[k] = l
-        self._refresh_loads(i)
-        old_wait = self.wait[i]
-        self._refresh_multi(i)
-        self.wait_total += self.wait[i] - old_wait
+            touched.update((old, l))
+        row, loads = self.trip[i], self.loads[i]
+        for l in touched:
+            loads[l] = sum(map(row.__getitem__, drones[l]), 0.0)
+        self._refresh_node(i)
 
     def _apply_drone_moves(self, i, moves, name, delta):
         self._move_drones(i, moves)
@@ -724,7 +693,6 @@ class DeltaCache:
                     for i2 in self.tour[1:]:
                         if i2 == i or not reach[i2][k]:
                             continue
-                        lstar = self.min_drone[i2]
                         dj = self.min_load[i2] + self.trip[i2][k] - self.wait[i2]
                         if dj < 0.0:
                             dj = 0.0
@@ -732,7 +700,7 @@ class DeltaCache:
                         if delta < -IMPROVE_EPS:
                             self._move_drones(i, [(k2, l)])
                             self._remove_customer(k)
-                            self._add_customer(k, i2, lstar)
+                            self._add_customer(k, i2, self._idlest(i2))
                             self._refresh_node(i)
                             self._refresh_node(i2)
                             self._accept("zigzag_assignment", delta)
@@ -774,31 +742,36 @@ class DeltaCache:
         return sol
 
     def coherence_errors(self) -> list[str]:
-        """Compare every cache against a from-scratch recomputation (test aid)."""
+        """Compare every cache against a from-scratch recomputation (test aid).
+
+        The waits are also checked against :func:`evaluate`, whose stop
+        waits are the per-variant reference.
+        """
         errors = []
         if abs(self.travel_time - self._legs_sum(self.tour)) > 1e-9:
             errors.append("travel_time drifted")
-        if abs(self.wait_total - sum(self.wait.values())) > 1e-9:
-            errors.append("wait_total drifted")
-        for i in self.tour:
-            if self.variant is Variant.SINGLE:
-                trips = sorted((self.trip[i][k] for k in self.cust_at[i]), reverse=True)
-                tf = trips[0] if trips else 0.0
-                ts = trips[1] if len(trips) > 1 else 0.0
-                if abs(self.tf[i] - tf) > 1e-9 or abs(self.ts[i] - ts) > 1e-9:
-                    errors.append(f"tf/ts stale at node {i}")
-                if abs(self.wait[i] - tf) > 1e-9:
-                    errors.append(f"wait stale at node {i}")
-            else:
-                for l in range(self.u):
-                    exact = sum(self.trip[i][k] for k in self.drones[i][l])
-                    if abs(self.loads[i][l] - exact) > 1e-9:
-                        errors.append(f"load stale at node {i} drone {l}")
-                expected = max(self.loads[i]) if self.cust_at[i] else 0.0
-                if abs(self.wait[i] - expected) > 1e-9:
-                    errors.append(f"wait stale at node {i}")
         if self._position != {node: idx for idx, node in enumerate(self.tour)}:
             errors.append("position map stale")
+        for i in self.tour:
+            custs = self.cust_at[i]
+            if len(custs) > self.cap:
+                errors.append(f"node {i} holds {len(custs)} customers, cap {self.cap}")
+            drones = self.drones[i]
+            on_drones = sorted(k for l, dr in enumerate(drones) for k in dr if self.drone_of[k] == l)
+            if on_drones != custs or any(dr != sorted(dr) for dr in drones):
+                errors.append(f"drone lists stale at node {i}")
+            loads = [sum(self.trip[i][k] for k in dr) for dr in drones]
+            if any(abs(a - b) > 1e-9 for a, b in zip(self.loads[i], loads)):
+                errors.append(f"load stale at node {i}")
+            ranked = sorted(loads)
+            exact = (ranked[-1], ranked[-2] if self.u > 1 else 0.0, ranked[0])
+            cached = (self.wait[i], self.second[i], self.min_load[i])
+            if any(abs(a - b) > 1e-9 for a, b in zip(cached, exact)):
+                errors.append(f"wait, second or least load stale at node {i}")
+        if not errors:
+            waits = self.export_solution().waits
+            errors += [f"wait at node {i} differs from evaluate" for i in self.tour
+                       if abs(self.wait[i] - waits[i]) > 1e-9]
         return errors
 
 

@@ -29,6 +29,10 @@ class CapacityExceededError(TwoEchoError):
     """More single-trip flights requested at a stop than there are drones."""
 
 
+class InputFileError(TwoEchoError):
+    """A file does not hold the JSON document it should; names the file."""
+
+
 class InfeasibleSolutionError(TwoEchoError):
     """A solution violates structural constraints; carries the violation list."""
 
@@ -563,9 +567,20 @@ def _dump(data: dict, path) -> None:
         f.write("\n")
 
 
-def _load(path) -> dict:
+def _load(path, parse):
+    """Build an object with ``parse`` from the JSON object in file ``path``;
+    raise :class:`InputFileError` if the file holds something else."""
     with open(path, encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            data = json.load(f)
+            if not isinstance(data, dict):
+                raise InputFileError(f"{path}: expected a JSON object, got {type(data).__name__}")
+            return parse(data)
+        except KeyError as err:
+            raise InputFileError(f"{path}: missing field {err}") from None
+        except (AttributeError, TypeError, ValueError) as err:
+            # ValueError includes bad JSON and bad text encoding
+            raise InputFileError(f"{path}: {err}") from None
 
 
 def save_instance(inst: Instance, path) -> None:
@@ -573,7 +588,7 @@ def save_instance(inst: Instance, path) -> None:
 
 
 def load_instance(path) -> Instance:
-    return instance_from_json_dict(_load(path))
+    return _load(path, instance_from_json_dict)
 
 
 def save_solution(sol: Solution, path) -> None:
@@ -581,7 +596,7 @@ def save_solution(sol: Solution, path) -> None:
 
 
 def load_solution(path) -> Solution:
-    return Solution.from_json_dict(_load(path))
+    return _load(path, Solution.from_json_dict)
 
 
 def save_report(report: RunReport, path) -> None:
@@ -589,4 +604,4 @@ def save_report(report: RunReport, path) -> None:
 
 
 def load_report(path) -> RunReport:
-    return RunReport.from_json_dict(_load(path))
+    return _load(path, RunReport.from_json_dict)

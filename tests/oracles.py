@@ -233,15 +233,15 @@ def reference_construct(inst, mats, variant, rng):
     return sol
 
 
-def assignment_cost(k, i, state):
+def assignment_cost(k, i, state, variant):
     """Cost of serving customer ``k`` from node ``i`` in a
-    ``twoecho.construct.ConstructionState``: the wait increase at ``i``,
-    plus the node's chosen insertion cost when the truck does not stop there
-    yet."""
+    ``twoecho.construct.ConstructionState`` built for ``variant``: the wait
+    increase at ``i``, plus the node's chosen insertion cost when the truck
+    does not stop there yet."""
     from twoecho import Variant
 
     trip = state.mats.trip[i][k]
-    if state.variant is Variant.SINGLE:
+    if variant is Variant.SINGLE:
         delta = max(trip - state.wait[i], 0.0)
     else:
         delta = max(min(state.loads[i]) + trip - state.wait[i], 0.0)

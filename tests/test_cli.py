@@ -261,3 +261,44 @@ def test_trace_reaches_stderr_from_workers(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert any(line.startswith("move ") for line in done.stderr.splitlines())
+
+
+def _assert_file_error(capsys, path, *args):
+    capsys.readouterr()
+    assert run_cli(*args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    return err
+
+
+def test_instance_file_that_is_not_json_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text("{")
+    _assert_file_error(capsys, path, "solve", path, "--iters", 5)
+
+
+def test_instance_file_missing_a_field_is_one_error_line(tiny_instance, tmp_path, capsys):
+    data = json.loads(tiny_instance.read_text())
+    del data["d"]
+    path = tmp_path / "no_d.json"
+    path.write_text(json.dumps(data))
+    assert "missing field 'd'" in _assert_file_error(capsys, path, "solve", path, "--iters", 5)
+
+
+def test_solution_file_that_is_not_an_object_is_one_error_line(tiny_instance, tmp_path, capsys):
+    path = tmp_path / "sol.json"
+    path.write_text("[1, 2]")
+    _assert_file_error(capsys, path, "verify", tiny_instance, path)
+
+
+def test_non_positive_big_m_is_usage_error(tiny_instance, tmp_path, capsys):
+    out = tmp_path / "model.lp"
+    _assert_usage_error(capsys, "export-milp", tiny_instance, "--big-m", -1, "--out", out)
+    assert not out.exists()
+
+
+def test_exact_caps_below_one_are_usage_errors(tiny_instance, capsys):
+    _assert_usage_error(capsys, "exact", tiny_instance, "--max-nodes", -3)
+    _assert_usage_error(capsys, "exact", tiny_instance, "--max-customers", 0)
+    _assert_usage_error(capsys, "exact", tiny_instance, "--max-drones", 0)

@@ -40,7 +40,7 @@ def test_roulette_probabilities_inverse_cost():
                         if i not in mats.v_serve[k] or full:
                             assert state._weights[k][i] == 0.0
                         else:
-                            expected = 1.0 / (assignment_cost(k, i, state) + EPSILON)
+                            expected = 1.0 / (assignment_cost(k, i, state, variant) + EPSILON)
                             assert state._weights[k][i] == pytest.approx(expected, rel=1e-12)
                         checked += 1
                 state.commit(k_pick, i_pick)
@@ -131,15 +131,15 @@ def _state_after_first_commit(variant):
     return state
 
 
-def _assert_cost(state, k, i, cost):
-    assert assignment_cost(k, i, state) == pytest.approx(cost)
+def _assert_cost(state, variant, k, i, cost):
+    assert assignment_cost(k, i, state, variant) == pytest.approx(cost)
     assert state._weights[k][i] == pytest.approx(1.0 / (cost + EPSILON))
 
 
 def test_assignment_cost_visited_node():
     state = _state_after_first_commit(Variant.SINGLE)
-    _assert_cost(state, 1, 1, 0.0)
-    _assert_cost(state, 2, 1, 0.2)
+    _assert_cost(state, Variant.SINGLE, 1, 1, 0.0)
+    _assert_cost(state, Variant.SINGLE, 2, 1, 0.2)
 
 
 def test_assignment_cost_unvisited_adds_insertion():
@@ -148,16 +148,16 @@ def test_assignment_cost_unvisited_adds_insertion():
     state.draw(np.random.default_rng(0))
     # a 0.6 h round trip plus 0.5 h of truck detour out to (10,0) and back
     assert state.step_ic[1] == pytest.approx(0.5)
-    _assert_cost(state, 0, 1, 1.1)
+    _assert_cost(state, Variant.SINGLE, 0, 1, 1.1)
 
 
 def test_assignment_cost_multi_uses_least_loaded():
     state = _state_after_first_commit(Variant.MULTI)
     # idle drone 1 takes the 0.6 trip: wait stays 0.8
-    _assert_cost(state, 1, 1, 0.0)
+    _assert_cost(state, Variant.MULTI, 1, 1, 0.0)
     state.commit(2, 1)
     # drone 1 now flies 1.0 h, so the 0.6 trip goes on drone 0 and makes 1.4 h
-    _assert_cost(state, 1, 1, 0.4)
+    _assert_cost(state, Variant.MULTI, 1, 1, 0.4)
 
 
 def test_construct_no_customers():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import make_instance, random_instance
 from oracles import brute_force_optimum
@@ -24,6 +26,22 @@ def test_minmax_packing_examples():
     assert minmax_packing((), 3) == (0.0, ())
     span, _ = minmax_packing((0.9, 0.3, 0.3, 0.3), 3)
     assert span == pytest.approx(0.9)
+
+
+@given(
+    drones=st.integers(1, 5),
+    trips=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 2.0)), max_size=5),
+)
+def test_packing_at_most_one_trip_per_drone_waits_for_the_longest(drones, trips):
+    # solve_exact's search takes a stop with at most u flights to wait for
+    # its longest one: each flight on its own drone is optimal, and the
+    # packing search stops within its 1e-12 h tolerance of that (it returns
+    # 0.2 + 0.1 = 0.30000000000000004 for trips 0.3, 0.2, 0.1 on 3 drones)
+    trips = tuple(sorted(trips[:drones], reverse=True))
+    longest = trips[0] if trips else 0.0
+    span, lanes = minmax_packing(trips, drones)
+    assert longest <= span <= longest + 1e-12
+    assert len(lanes) == len(trips)
 
 
 def test_no_customers():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from twoecho import (
     construct_solution,
     evaluate,
     generate,
+    generate_coincident,
     grasp,
     local_search,
     run,
@@ -204,3 +207,29 @@ def test_skipping_repeated_starts_changes_no_result(
     best, report = run(inst, GraspConfig(variant=variant, n_max=60, seed=seed), mats=mats)
     assert best.canonical_json() == expected.canonical_json()
     assert report.objective == expected.objective
+
+
+def test_start_keys_take_two_bytes_per_index(monkeypatch):
+    # on coincident instances starts never repeat, so a long run keeps every
+    # key: each must cost about two bytes per tour node, assignment and drone
+    inst = generate_coincident(d=30.0, n_total=12, seed=3).replaced(drone_speed=60.0, num_drones=3)
+    mats = build_time_matrices(inst)
+    keys, indices, snapshots = 300, [], []
+
+    def recording(sol, *args, **kwargs):
+        indices.append(len(sol.tour) + 2 * inst.m)
+        if len(indices) == keys:
+            snapshots.append(tracemalloc.take_snapshot())
+        return sol
+
+    monkeypatch.setattr(grasp, "local_search", recording)
+    tracemalloc.start()
+    try:
+        _, _, failures, repeated = grasp._run_stream(inst, mats, Variant.MULTI, keys, 0, None)
+    finally:
+        tracemalloc.stop()
+    assert (failures, repeated, len(indices)) == (0, 0, keys)
+    # what grasp.py still holds: the keys, the set's table, the generator
+    held = snapshots[0].filter_traces([tracemalloc.Filter(True, grasp.__file__)])
+    per_key = sum(stat.size for stat in held.statistics("filename")) / keys
+    assert per_key <= 96 + 2 * sum(indices) / keys

@@ -12,6 +12,7 @@ from twoecho import (
     build_time_matrices,
     check_feasibility,
     evaluate,
+    generate_coincident,
     local_search,
     solve_exact,
 )
@@ -47,9 +48,36 @@ def test_delta_remove_with_tied_maximum():
         endurance=2.0,
         num_drones=2,
     )
-    assert cache.tf[1] == pytest.approx(0.8)
-    assert cache.ts[1] == pytest.approx(0.8)
+    # one flight per drone: the two tied trips are the two loads
+    assert cache.loads[1] == [pytest.approx(0.8), pytest.approx(0.8)]
+    assert cache.wait[1] == pytest.approx(0.8)
+    assert cache.second[1] == pytest.approx(0.8)
     assert cache._leave_delta(1, 0) == pytest.approx(0.0)
+
+
+def test_single_trip_stays_coherent_with_zero_trips():
+    # every node of a coincident instance serves its own customer with a
+    # 0.0 h trip, so a single-trip drone can carry that customer beside a
+    # nonzero trip; the caches and waits must still match a fresh evaluation
+    rng = np.random.default_rng(17)
+    checked = shared = 0
+    for seed in range(12):
+        inst = generate_coincident(d=15.0, n_total=7, seed=seed, drone_speed=60.0, num_drones=2)
+        mats = build_time_matrices(inst)
+        sol = random_feasible_solution(inst, mats, Variant.SINGLE, rng)
+        if sol is None:
+            continue
+        cache = DeltaCache(sol, inst, mats)
+
+        def hook(name, delta):
+            nonlocal checked, shared
+            assert cache.coherence_errors() == [], name
+            checked += 1
+            shared += any(len(dr) > 1 for drones in cache.drones.values() for dr in drones)
+
+        cache.on_move = hook
+        cache.run()
+    assert checked > 40 and shared > 0
 
 
 def test_truck_operators_reach_permutation_optimum():
