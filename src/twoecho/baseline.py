@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .exact import _closed_tour, _held_karp_paths
+from .exact import _closing, _held_karp, _tour
 from .model import Instance, Point, RunReport, Variant, manhattan, euclidean
 
 EXACT_TSP_LIMIT = 16
@@ -15,12 +15,6 @@ class TspResult:
     tour: tuple[int, ...]
     objective: float
     exact: bool
-
-
-def tsp_time_matrix(points, speed: float, metric: str = "manhattan"):
-    dist = manhattan if metric == "manhattan" else euclidean
-    pts = [Point(*p) for p in points]
-    return [[dist(a, b) / speed for b in pts] for a in pts]
 
 
 def _tour_length(tour, t) -> float:
@@ -75,8 +69,8 @@ def _or_opt_pass(tour, t) -> bool:
     return False
 
 
-def solve_tsp(points, speed: float, metric: str = "manhattan") -> TspResult:
-    """Closed tour over all points starting at index 0, in hours.
+def solve_tsp(points, speed: float) -> TspResult:
+    """Closed Manhattan tour over all points starting at index 0, in hours.
 
     Exact dynamic programming up to ``EXACT_TSP_LIMIT`` points; beyond that a
     nearest-neighbor start improved by 2-opt and segment relocation, flagged
@@ -87,11 +81,13 @@ def solve_tsp(points, speed: float, metric: str = "manhattan") -> TspResult:
         raise ValueError("need at least one point")
     if n == 1:
         return TspResult((0,), 0.0, True)
-    t = tsp_time_matrix(points, speed, metric)
+    pts = [Point(*p) for p in points]
+    t = [[manhattan(a, b) / speed for b in pts] for a in pts]
     if n <= EXACT_TSP_LIMIT:
-        dp, parent = _held_karp_paths(t, n)
-        cost, tour = _closed_tour(dp, parent, t, (1 << (n - 1)) - 1)
-        return TspResult(tuple(tour), cost, True)
+        dp = _held_karp(t, n)
+        full = (1 << (n - 1)) - 1
+        cost, last = _closing(dp, t, full)
+        return TspResult(tuple(_tour(dp, t, full, last)), cost, True)
     tour = _nearest_neighbor(t)
     while _two_opt_pass(tour, t) or _or_opt_pass(tour, t):
         pass

@@ -75,6 +75,10 @@ def minmax_packing(trips: tuple[float, ...], drones: int) -> tuple[float, tuple[
     """
     if not trips:
         return 0.0, ()
+    if len(trips) <= drones:
+        # a drone per trip; the search below may stop at a shared drone
+        # within its 1e-12 h tolerance of this optimum
+        return trips[0], tuple(range(len(trips)))
     lower = max(trips[0], sum(trips) / drones)
     loads = [0.0] * drones
     assign = [0] * len(trips)
@@ -117,61 +121,58 @@ def minmax_packing(trips: tuple[float, ...], drones: int) -> tuple[float, tuple[
 # --- tour pricing ---------------------------------------------------------------
 
 
-def _held_karp_paths(t, n):
-    """dp[mask][b] = min time for depot -> ... -> node (b+1) visiting exactly mask."""
+def _held_karp(t, n):
+    """dp[mask][b] = min time for depot -> ... -> node (b+1) visiting exactly mask.
+
+    Held & Karp (1962). Each cell pulls from the one mask it extends,
+    ``mask`` without ``b``; cells with ``b`` outside ``mask`` stay infinite.
+    """
     m = n - 1
-    full = 1 << m
     inf = float("inf")
-    dp = [[inf] * m for _ in range(full)]
-    parent = [[-1] * m for _ in range(full)]
+    dp = [[inf] * m for _ in range(1 << m)]
+    into = [[t[b + 1][j + 1] for b in range(m)] for j in range(m)]  # into[j][b]: b -> j
     for b in range(m):
         dp[1 << b][b] = t[0][b + 1]
-    for mask in range(1, full):
+    for mask in range(3, 1 << m):
+        if not mask & (mask - 1):
+            continue  # a singleton, seeded from the depot
+        bits = [b for b in range(m) if (mask >> b) & 1]
         row = dp[mask]
-        rest = (full - 1) & ~mask
-        for b in range(m):
-            if not (mask >> b) & 1:
-                continue
-            cur = row[b]
-            if cur == inf:
-                continue
-            trow = t[b + 1]
-            sub = rest
-            while sub:
-                nb_bit = sub & -sub
-                sub ^= nb_bit
-                nb = nb_bit.bit_length() - 1
-                cand = cur + trow[nb + 1]
-                nm = mask | nb_bit
-                if cand < dp[nm][nb]:
-                    dp[nm][nb] = cand
-                    parent[nm][nb] = b
-    return dp, parent
+        for j in bits:
+            prev = dp[mask ^ 1 << j]
+            tj = into[j]
+            row[j] = min([prev[b] + tj[b] for b in bits if b != j])
+    return dp
 
 
-def _closed_tour(dp, parent, t, mask):
-    """Best closed tour over subset ``mask`` of non-depot nodes; returns (cost, tour)."""
-    best = float("inf")
-    last = -1
+def _closing(dp, t, mask):
+    """Cheapest return to the depot over subset ``mask``: (tour cost, last bit).
+
+    Ties go to the lowest bit.
+    """
     row = dp[mask]
-    sub = mask
-    while sub:
-        bit = sub & -sub
-        sub ^= bit
-        b = bit.bit_length() - 1
-        cand = row[b] + t[b + 1][0]
-        if cand < best:
-            best = cand
-            last = b
-    order = []
-    cur, m = last, mask
-    while cur != -1:
-        order.append(cur + 1)
-        nxt = parent[m][cur]
-        m ^= 1 << cur
-        cur = nxt
+    return min((row[b] + t[b + 1][0], b) for b in range(len(row)) if (mask >> b) & 1)
+
+
+def _tour(dp, t, mask, last):
+    """The closed tour over ``mask`` that ends at node (last+1), read back from ``dp``.
+
+    Each step back takes the lowest bit whose cell plus the arc equals the
+    current cell exactly: ``_held_karp`` took its minimum over the same sums.
+    """
+    order = [last + 1]
+    while mask & (mask - 1):
+        cost = dp[mask][last]
+        mask ^= 1 << last
+        prev = dp[mask]
+        col = last + 1
+        last = next(
+            b for b in range(len(prev)) if (mask >> b) & 1 and prev[b] + t[b + 1][col] == cost
+        )
+        order.append(last + 1)
+    order.append(0)
     order.reverse()
-    return best, [0] + order
+    return order
 
 
 # --- exhaustive search ------------------------------------------------------------
@@ -212,7 +213,7 @@ def solve_exact(
         serve_bits.append(bits)
 
     trip = mats.trip
-    dp, parent = _held_karp_paths(mats.t, n)
+    dp = _held_karp(mats.t, n)
     full = 1 << (n - 1)
     best_obj = float("inf")
     best_payload = None
@@ -229,7 +230,7 @@ def solve_exact(
         if any(c == 0 for c in cand):
             continue
         subsets += 1
-        tour_cost, tour = _closed_tour(dp, parent, mats.t, mask)
+        tour_cost, last = _closing(dp, mats.t, mask)
         if tour_cost >= best_obj:
             continue
 
@@ -249,7 +250,7 @@ def solve_exact(
             if pos == m:
                 leaves += 1
                 best_obj = tour_cost + total_wait
-                best_payload = (tour, dict(assigned))
+                best_payload = (mask, last, dict(assigned))
                 return
             k = order[pos]
             remaining = m - pos
@@ -281,7 +282,8 @@ def solve_exact(
     if best_payload is None:
         raise InfeasibleInstanceError("no feasible assignment exists at this fleet size")
 
-    tour, assignment = best_payload
+    tour_mask, last, assignment = best_payload
+    tour = _tour(dp, mats.t, tour_mask, last)
     drone_of = None
     if multi:
         drone_of = {}
@@ -294,7 +296,7 @@ def solve_exact(
             _, lanes = minmax_packing(packed, u)
             for k, l in zip(ks, lanes):
                 drone_of[k] = l
-    sol = Solution(variant, list(tour), assignment, drone_of)
+    sol = Solution(variant, tour, assignment, drone_of)
     evaluate(sol, inst, mats)
     return ExactResult(sol, sol.objective, SearchProof(subsets=subsets, assignments=leaves))
 

@@ -1,9 +1,10 @@
 """Independent oracles for the solver code.
 
-Brute-force enumeration only, no shared solver code, plus two reference
+Brute-force enumeration only, no shared solver code, plus three reference
 implementations: the array-based construction that the incremental one in
-``twoecho.construct`` must reproduce draw for draw, and the cost of one
-serving choice that its roulette weights must invert.
+``twoecho.construct`` must reproduce draw for draw, the cost of one
+serving choice that its roulette weights must invert, and the tour pricing
+whose tie-breaks ``twoecho.exact`` must keep.
 """
 
 import itertools
@@ -105,6 +106,74 @@ def brute_tsp_hours(points, speed):
         if cost < best:
             best = cost
     return best
+
+
+# Reference tour pricing: the push-style Held-Karp with a parent table that
+# ``twoecho.exact`` used before it read tours back from the cost table alone.
+# Its tie-breaks are the ones the solver must keep.
+
+
+def _held_karp_paths(t, n):
+    """dp[mask][b] = min time for depot -> ... -> node (b+1) visiting exactly mask."""
+    m = n - 1
+    full = 1 << m
+    inf = float("inf")
+    dp = [[inf] * m for _ in range(full)]
+    parent = [[-1] * m for _ in range(full)]
+    for b in range(m):
+        dp[1 << b][b] = t[0][b + 1]
+    for mask in range(1, full):
+        row = dp[mask]
+        rest = (full - 1) & ~mask
+        for b in range(m):
+            if not (mask >> b) & 1:
+                continue
+            cur = row[b]
+            if cur == inf:
+                continue
+            trow = t[b + 1]
+            sub = rest
+            while sub:
+                nb_bit = sub & -sub
+                sub ^= nb_bit
+                nb = nb_bit.bit_length() - 1
+                cand = cur + trow[nb + 1]
+                nm = mask | nb_bit
+                if cand < dp[nm][nb]:
+                    dp[nm][nb] = cand
+                    parent[nm][nb] = b
+    return dp, parent
+
+
+def _closed_tour(dp, parent, t, mask):
+    """Best closed tour over subset ``mask`` of non-depot nodes; returns (cost, tour)."""
+    best = float("inf")
+    last = -1
+    row = dp[mask]
+    sub = mask
+    while sub:
+        bit = sub & -sub
+        sub ^= bit
+        b = bit.bit_length() - 1
+        cand = row[b] + t[b + 1][0]
+        if cand < best:
+            best = cand
+            last = b
+    order = []
+    cur, m = last, mask
+    while cur != -1:
+        order.append(cur + 1)
+        nxt = parent[m][cur]
+        m ^= 1 << cur
+        cur = nxt
+    order.reverse()
+    return best, [0] + order
+
+
+def reference_closed_tour(t, mask):
+    """(cost, tour) of the reference pricing for subset ``mask`` of ``t``'s non-depot nodes."""
+    dp, parent = _held_karp_paths(t, len(t))
+    return _closed_tour(dp, parent, t, mask)
 
 
 def lp_constraint_count(inst, mats, variant, literal_eq13=False):

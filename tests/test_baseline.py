@@ -4,8 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import brute_tsp_hours
+from oracles import brute_tsp_hours, reference_closed_tour
 from twoecho import (
     GraspConfig,
     Variant,
@@ -15,6 +17,7 @@ from twoecho import (
     generate_coincident,
     solve_tsp,
 )
+from twoecho.model import Point, manhattan
 
 DATA = Path(__file__).parent / "data" / "appendix_rows.csv"
 
@@ -41,6 +44,21 @@ def test_exact_matches_permutation_bruteforce():
         assert res.exact
         assert res.objective == pytest.approx(brute_tsp_hours(pts, 40.0), abs=1e-9)
         assert sorted(res.tour) == list(range(n))
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=10))
+def test_exact_tour_breaks_ties_like_the_reference(points):
+    # a 4x4 grid with repeated points gives many equally short tours
+    res = solve_tsp(points, speed=40.0)
+    assert res.exact
+    if len(points) == 1:
+        assert (res.tour, res.objective) == ((0,), 0.0)
+        return
+    pts = [Point(*p) for p in points]
+    t = [[manhattan(a, b) / 40.0 for b in pts] for a in pts]
+    cost, tour = reference_closed_tour(t, (1 << (len(points) - 1)) - 1)
+    assert res.tour == tuple(tour)
+    assert res.objective == cost
 
 
 def test_heuristic_branch_flagged_and_sane():

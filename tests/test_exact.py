@@ -4,15 +4,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import make_instance, random_instance
-from oracles import brute_force_optimum
+from oracles import brute_force_optimum, reference_closed_tour
 from twoecho import (
     ExactLimits,
+    GenConfig,
     GraspConfig,
     SizeLimitError,
     Variant,
     build_time_matrices,
     check_feasibility,
     compute_u_min,
+    generate,
     run,
     solve_exact,
 )
@@ -33,15 +35,25 @@ def test_minmax_packing_examples():
     trips=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 2.0)), max_size=5),
 )
 def test_packing_at_most_one_trip_per_drone_waits_for_the_longest(drones, trips):
-    # solve_exact's search takes a stop with at most u flights to wait for
-    # its longest one: each flight on its own drone is optimal, and the
-    # packing search stops within its 1e-12 h tolerance of that (it returns
-    # 0.2 + 0.1 = 0.30000000000000004 for trips 0.3, 0.2, 0.1 on 3 drones)
+    # with at most one trip per drone, each trip gets a drone of its own and
+    # the stop waits for the longest; a search that stops within 1e-12 h of
+    # its bound could share a drone (0.2 + 0.1 on one of 3 drones for trips
+    # 0.3, 0.2, 0.1, a wait of 0.30000000000000004)
     trips = tuple(sorted(trips[:drones], reverse=True))
     longest = trips[0] if trips else 0.0
     span, lanes = minmax_packing(trips, drones)
-    assert longest <= span <= longest + 1e-12
-    assert len(lanes) == len(trips)
+    assert span == longest
+    assert sorted(lanes) == list(range(len(trips)))
+
+
+def test_exact_multi_trip_gives_each_flight_its_own_drone_when_the_fleet_allows():
+    # four customers served from one stop by four drones: one flight each
+    inst = generate(GenConfig(d=20, n_truck=4, m_customers=4, seed=1)).replaced(num_drones=4)
+    mats = build_time_matrices(inst)
+    sol = solve_exact(inst, mats, Variant.MULTI).solution
+    assert len(sol.tour) == 2
+    assert sorted(sol.drone_of.values()) == [0, 1, 2, 3]
+    assert check_feasibility(sol, inst, mats) == []
 
 
 def test_no_customers():
@@ -145,3 +157,17 @@ def test_packing_cache_stays_within_its_bound():
     assert info.maxsize == PACK_CACHE_SIZE
     assert info.currsize <= PACK_CACHE_SIZE
     assert minmax_packing((0.8, 0.6, 0.5), 2) == expected
+
+
+def test_exact_tour_is_the_reference_closed_tour_over_its_stops():
+    for seed in range(12):
+        inst = generate(GenConfig(d=20, n_truck=3 + seed % 6, m_customers=3 + seed % 5, seed=seed))
+        mats = build_time_matrices(inst)
+        inst = inst.replaced(num_drones=compute_u_min(inst, mats))
+        mats = build_time_matrices(inst)
+        for variant in (Variant.SINGLE, Variant.MULTI):
+            res = solve_exact(inst, mats, variant)
+            mask = sum(1 << (i - 1) for i in res.solution.tour[1:])
+            cost, tour = reference_closed_tour(mats.t, mask)
+            assert res.solution.tour == tour, (seed, variant)
+            assert res.objective == pytest.approx(cost + sum(res.solution.waits.values()), abs=1e-12)
