@@ -65,6 +65,23 @@ def test_verify_objective_mismatch_fails(tmp_path):
     assert run_cli("verify", inst_path, sol_path) == 1
 
 
+def test_verify_prints_the_objective_mismatch(tmp_path, capsys):
+    from twoecho import Solution, Variant, build_time_matrices, evaluate, save_instance, save_solution
+    from helpers import make_instance
+
+    inst = make_instance([(0, 0), (8, 0), (0, 20)], [(8, 4), (8, 6)], num_drones=1)
+    sol = Solution(Variant.MULTI, [0, 1], {0: 1, 1: 1}, {0: 0, 1: 0})
+    evaluate(sol, inst, build_time_matrices(inst))
+    sol.objective += 0.5
+    inst_path, sol_path = tmp_path / "i.json", tmp_path / "s.json"
+    save_instance(inst, inst_path)
+    save_solution(sol, sol_path)
+    capsys.readouterr()
+    assert run_cli("verify", inst_path, sol_path) == 1
+    out = capsys.readouterr().out
+    assert out == "violation: stored objective 1.4 differs from recomputed 0.8999999999999999\n"
+
+
 def test_exact_subcommand(tmp_path):
     inst_path = tmp_path / "i.json"
     sol_path = tmp_path / "s.json"

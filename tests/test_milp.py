@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,11 @@ from twoecho import (
     InfeasibleSolutionError,
     Variant,
     build_time_matrices,
+    GenConfig,
     export_milp,
     export_umin_milp,
+    generate,
+    generate_coincident,
     import_milp_solution,
     solve_exact,
 )
@@ -36,6 +41,57 @@ def test_constraint_counts_match_symbolic_tally():
         )
         umin = export_umin_milp(inst, mats)
         assert count_lp_constraints(umin) == lp_umin_constraint_count(inst, mats)
+
+
+# SHA-256 prefixes of the LP texts (single-trip, multi-trip, single-trip with
+# literal_eq13, minimum fleet) at big_m = 7.5: generated instances keyed by
+# (n, m, u, seed) at d = 20 km, m = 0 included, then coincident ones keyed by
+# (n_total, u, seed) at d = 15 km. A refactor of the writer must keep every byte.
+PINNED_LP_TEXTS = {
+    (1, 0, 1, 16): ("50a289ac1de2", "66e6d0ee0fd6", "fbaba15a5139", "dd7e100b26f8"),
+    (2, 1, 1, 0): ("2472c00e818b", "f0a05c2ab4dd", "7a261c0a98e2", "c7e0e46c5d75"),
+    (3, 0, 1, 1): ("a28e83fd62f7", "99219211cda0", "156596484b6e", "1deaf5d9aa92"),
+    (3, 2, 1, 2): ("b39f112d683f", "dbc81d8c1271", "682ed5209988", "4db93760b0e3"),
+    (3, 4, 2, 3): ("66fd94f24fbd", "750964bd6faf", "b3521169a98a", "68b397cec2c6"),
+    (4, 3, 1, 4): ("b6a5e70b5fe2", "adccc27c24da", "2299f83cbcfa", "af16cf592709"),
+    (4, 6, 2, 5): ("0a93586b7fd0", "8e8139ad74e7", "b503d95d04d1", "2bd742333c31"),
+    (4, 8, 3, 6): ("9d01b346f7ee", "5250e141ddbe", "d45665680314", "2bc0aeae0660"),
+    (5, 5, 1, 7): ("c9c02198e003", "b6d49addac33", "51b7a9407259", "9fefed0b162c"),
+    (5, 9, 2, 8): ("6f4d51454299", "2cc1678dc6d8", "034ddd0adae6", "17edb3919ee3"),
+    (6, 4, 3, 9): ("a0d1a16d516a", "4d404a449843", "97102bab5cfa", "83c763531801"),
+    (6, 10, 2, 10): ("f1e79366c784", "533943a6bae0", "bdfe2c9baa2b", "f7ca87050966"),
+    (7, 7, 1, 11): ("8838a5991614", "3122d2493d39", "d9f95e7d3957", "3f63fa692660"),
+    (7, 12, 3, 12): ("bac4db7eb14a", "f77e971c482e", "2a49a1c26464", "b15c840368bd"),
+    (8, 8, 2, 13): ("45bd79a6d5b2", "cdbc5af2fc82", "ede13eb0c4ec", "5fb9b9138694"),
+    (8, 15, 4, 14): ("cc53346d7026", "879f35d9e4fa", "f7b1406e4db9", "3b7220f6c7ab"),
+    (5, 0, 2, 15): ("29f1da2ee8ed", "f4464ab8552d", "9801fe52912d", "67b4b93197c2"),
+    (3, 1, 0): ("0ea55b6dcbee", "596dd7a3be40", "fccf61796f4b", "f29cd2d3205d"),
+    (5, 2, 1): ("443074dc3886", "f638392b09ff", "7a84dd880ee6", "9672123b018c"),
+    (7, 3, 2): ("fae5f55b1a19", "5cc5bd56fc36", "1f19f2f6eeb2", "215e27e80b94"),
+    (9, 2, 3): ("a285c05e0e28", "285f53ee3fad", "6afbd81e138a", "5435590618ad"),
+}
+
+
+def test_lp_texts_are_pinned():
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+    for key, expected in PINNED_LP_TEXTS.items():
+        if len(key) == 4:
+            n, m, u, seed = key
+            inst = generate(GenConfig(d=20.0, n_truck=n, m_customers=m, seed=seed))
+            inst = inst.replaced(num_drones=u)
+        else:
+            n, u, seed = key
+            inst = generate_coincident(d=15.0, n_total=n, seed=seed, num_drones=u)
+        mats = build_time_matrices(inst)
+        texts = (
+            export_milp(inst, mats, Variant.SINGLE, big_m=7.5),
+            export_milp(inst, mats, Variant.MULTI, big_m=7.5),
+            export_milp(inst, mats, Variant.SINGLE, big_m=7.5, literal_eq13=True),
+            export_umin_milp(inst, mats),
+        )
+        assert tuple(digest(text) for text in texts) == expected, key
 
 
 def test_lp_structure_basics():

@@ -15,11 +15,8 @@ from twoecho import (
     build_time_matrices,
     check_feasibility,
     evaluate,
-    node_wait_multi,
-    node_wait_single,
 )
 from twoecho.model import (
-    CapacityExceededError,
     CapacityViolation,
     DepotLaunchViolation,
     RangeViolation,
@@ -64,27 +61,46 @@ def test_reach_sets_are_duals():
                 assert mats.t[i][j] <= mats.t[i][k] + mats.t[k][j] + 1e-12
 
 
+def _one_stop(trips, num_drones):
+    """A depot and one stop; customer k's round trip from the stop takes trips[k] hours."""
+    customers = [(20.0 * t, 0.0) for t in trips]
+    inst = make_instance([(0, 50), (0, 0)], customers, endurance=1.0, num_drones=num_drones)
+    return inst, build_time_matrices(inst)
+
+
+def _stop_wait(inst, mats, variant, drone_of=None):
+    """The wait that ``evaluate`` gives the one stop, which serves every customer."""
+    tour = [0, 1] if inst.m else [0]
+    sol = Solution(variant, tour, {k: 1 for k in range(inst.m)}, drone_of)
+    return evaluate(sol, inst, mats).waits[tour[-1]]
+
+
 def test_node_wait_single_cases():
-    assert node_wait_single([0.5, 0.8], 2) == pytest.approx(0.8)
-    assert node_wait_single([], 4) == 0.0
-    assert node_wait_single([0.3, 0.3, 0.3], 3) == pytest.approx(0.3)
-    with pytest.raises(CapacityExceededError):
-        node_wait_single([0.1, 0.2, 0.3], 2)
+    assert _stop_wait(*_one_stop([0.5, 0.8], 2), Variant.SINGLE) == pytest.approx(0.8)
+    assert _stop_wait(*_one_stop([], 4), Variant.SINGLE) == 0.0
+    assert _stop_wait(*_one_stop([0.3, 0.3, 0.3], 3), Variant.SINGLE) == pytest.approx(0.3)
+    with pytest.raises(InfeasibleSolutionError, match="node 1 serves more customers than"):
+        _stop_wait(*_one_stop([0.1, 0.2, 0.3], 2), Variant.SINGLE)
 
 
 def test_node_wait_multi_cases():
-    assert node_wait_multi([[0.5, 0.8], [0.6]]) == pytest.approx(1.3)
-    assert node_wait_multi([[0.5, 0.8, 0.6]]) == pytest.approx(1.9)
-    assert node_wait_multi([[], []]) == 0.0
+    inst, mats = _one_stop([0.5, 0.8, 0.6], 2)
+    assert _stop_wait(inst, mats, Variant.MULTI, {0: 0, 1: 0, 2: 1}) == pytest.approx(1.3)
+    inst, mats = _one_stop([0.5, 0.8, 0.6], 1)
+    assert _stop_wait(inst, mats, Variant.MULTI, {0: 0, 1: 0, 2: 0}) == pytest.approx(1.9)
+    assert _stop_wait(*_one_stop([], 2), Variant.MULTI, {}) == 0.0
 
 
+@settings(deadline=None)
 @given(st.lists(st.floats(0.01, 0.5), min_size=1, max_size=6))
 def test_single_wait_never_exceeds_multi_wait(trips):
-    u = len(trips)
-    singletons = [[t] for t in trips]
-    assert node_wait_single(trips, u) == pytest.approx(node_wait_multi(singletons))
-    lumped = [list(trips)]
-    assert node_wait_single(trips, u) <= node_wait_multi(lumped) + 1e-12
+    # a single-trip stop waits exactly as long as the multi-trip one that
+    # flies each flight on its own drone, and never longer than one drone
+    # flying them all
+    inst, mats = _one_stop(trips, len(trips))
+    single = _stop_wait(inst, mats, Variant.SINGLE)
+    assert single == _stop_wait(inst, mats, Variant.MULTI, {k: k for k in range(inst.m)})
+    assert single <= _stop_wait(inst, mats, Variant.MULTI, dict.fromkeys(range(inst.m), 0))
 
 
 def test_evaluate_one_stop():
@@ -183,6 +199,59 @@ def test_check_feasibility_cases():
     assert any(isinstance(x, DepotLaunchViolation) for x in v)
 
 
+def test_violation_messages_are_pinned():
+    # one broken solution per violation kind, and one with several kinds,
+    # which also pins the order of the checks
+    inst = make_instance([(0, 0), (8, 0), (0, 20)], [(8, 4), (8, 6)], num_drones=1)
+    mats = build_time_matrices(inst)
+    S, M = Variant.SINGLE, Variant.MULTI
+    unvisited = "customer {} is assigned to node {} which the truck never visits"
+    capacity = "node 1 serves more customers than there are drones"
+    no_drone = "customer {} has no valid drone index"
+    depot = "customer 0 is assigned to the depot, which cannot launch drones"
+    cases = [
+        (Solution(S, [0, 1, 1], {0: 1, 1: 1}), ["tour: repeats a node", capacity]),
+        (Solution(S, [0, 1, 5], {0: 1, 1: 1}), ["tour: unknown node indices [5]"]),
+        (
+            Solution(M, [0, 1], {0: 1, 1: 1, 7: 1}, {0: 0, 1: 0}),
+            ["assignment references unknown customer 7"],
+        ),
+        (Solution(S, [0, 1], {0: 1}), ["customer 1 is not assigned to any stop"]),
+        (Solution(S, [0, 1], {0: 0, 1: 1}), [depot]),
+        (Solution(S, [0, 1], {0: 9, 1: 1}), [unvisited.format(0, 9)]),
+        (
+            Solution(S, [0, 1], {0: 2, 1: 1}),
+            [unvisited.format(0, 2), "customer 0 is out of drone range from node 2"],
+        ),
+        (Solution(S, [0, 1, 2], {0: 2, 1: 1}), ["customer 0 is out of drone range from node 2"]),
+        (Solution(S, [0, 1], {0: 1, 1: 1}), [capacity]),
+        (Solution(M, [0, 1], {0: 1, 1: 1}, {0: 0, 1: 3}), [no_drone.format(1)]),
+        (Solution(M, [0, 1], {0: 1, 1: 1}), [no_drone.format(0), no_drone.format(1)]),
+        (Solution(M, [0, 1, 2], {0: 1, 1: 1}, {0: 0, 1: 0}), ["visited node 2 serves no customer"]),
+        (
+            Solution(S, [], {0: 1, 1: 1}),
+            [
+                "tour: must start at the depot (node 0)",
+                unvisited.format(0, 1),
+                unvisited.format(1, 1),
+                capacity,
+            ],
+        ),
+        (
+            Solution(S, [1, 2, 2], {0: 0, 1: 2, 4: 1}),
+            [
+                "tour: must start at the depot (node 0)",
+                "tour: repeats a node",
+                "assignment references unknown customer 4",
+                depot,
+                "customer 1 is out of drone range from node 2",
+            ],
+        ),
+    ]
+    for sol, expected in cases:
+        assert [str(v) for v in check_feasibility(sol, inst, mats)] == expected, sol
+
+
 def test_evaluate_independent_of_dict_order():
     inst = make_instance([(0, 0), (8, 0), (0, 8)], [(8, 6), (0, 6)], num_drones=2, endurance=1.0)
     mats = build_time_matrices(inst)
@@ -262,3 +331,11 @@ def test_instance_meta_never_overwrites_core_fields():
     back = instance_from_json_dict(data)
     assert back.num_drones == 2
     assert back.meta == {"note": "kept"}
+
+
+def test_public_names_resolve():
+    import twoecho
+
+    missing = [name for name in twoecho.__all__ if not hasattr(twoecho, name)]
+    assert missing == []
+    assert len(set(twoecho.__all__)) == len(twoecho.__all__)
