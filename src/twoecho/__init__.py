@@ -35,8 +35,6 @@ from .model import (
     evaluate,
     load_instance,
     load_solution,
-    node_wait_multi,
-    node_wait_single,
     save_instance,
     save_solution,
 )
@@ -77,8 +75,6 @@ __all__ = [
     "load_instance",
     "load_solution",
     "local_search",
-    "node_wait_multi",
-    "node_wait_single",
     "run",
     "save_instance",
     "save_solution",

@@ -12,9 +12,9 @@ from pathlib import Path
 
 from . import baseline, exact, grasp, instancegen
 from .model import (
-    ObjectiveMismatch,
     TwoEchoError,
     Variant,
+    Violation,
     build_time_matrices,
     check_feasibility,
     evaluate,
@@ -40,6 +40,11 @@ def _require(ok: bool, message: str) -> None:
 def _at_least_one(name: str, value: int) -> int:
     _require(value >= 1, f"{name} must be at least 1, got {value}")
     return value
+
+
+def _seed(args) -> int:
+    _require(args.seed >= 0, f"--seed must not be negative, got {args.seed}")
+    return args.seed
 
 
 def _check_speeds(speeds, truck_speed: float) -> None:
@@ -71,7 +76,7 @@ def _grasp_config(args, variant: Variant, time_limit: float | None = None) -> gr
     return grasp.GraspConfig(
         variant=variant,
         n_max=_at_least_one("--iters", args.iters),
-        seed=args.seed,
+        seed=_seed(args),
         time_limit=time_limit,
         threads=_threads(args),
     )
@@ -165,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    _require(args.d > 0, f"--d must be positive, got {args.d:g}")
+    _require(0 < args.d < math.inf, f"--d must be positive and finite, got {args.d:g}")
     _require(args.m >= 0, f"--m must not be negative, got {args.m}")
     # the depot never launches drones, so customers need a second node
     min_n = 2 if args.coincident or args.m > 0 else 1
@@ -176,6 +181,7 @@ def _cmd_gen(args) -> int:
     )
     _require(args.endurance > 0, f"--endurance must be positive, got {args.endurance:g}")
     _at_least_one("--num-drones", args.num_drones)
+    _seed(args)
     if args.coincident:
         inst = instancegen.generate_coincident(
             d=args.d,
@@ -326,6 +332,7 @@ def _collect_instances(paths) -> list[Path]:
 
 def _cmd_bench(args) -> int:
     _at_least_one("--iters", args.iters)
+    _seed(args)
     files = _collect_instances(args.instances)
     if not files:
         print("no instance files found", file=sys.stderr)
@@ -394,7 +401,8 @@ def _cmd_verify(args) -> int:
     if not violations and not math.isnan(sol.objective):
         recomputed = evaluate(sol.copy(), inst, mats).objective
         if abs(recomputed - sol.objective) > 1e-6:
-            violations.append(ObjectiveMismatch(sol.objective, recomputed))
+            text = f"stored objective {sol.objective} differs from recomputed {recomputed}"
+            violations.append(Violation("objective", text))
     if violations:
         for v in violations:
             print(f"violation: {v}")

@@ -11,7 +11,7 @@ form so any external MILP solver can cross-check.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass
 
 from .model import (
@@ -309,18 +309,14 @@ def _t(x: float) -> str:
 
 
 class _LpWriter:
-    def __init__(self, title):
-        self.lines = [f"\\ {title}", "Minimize"]
+    def __init__(self, title, objective):
+        self.lines = [f"\\ {title}", "Minimize", f" obj: {objective}", "Subject To"]
         self.binaries: list[str] = []
         self.generals: list[str] = []
 
-    def objective(self, expr):
-        self.lines.append(f" obj: {expr}")
-        self.lines.append("Subject To")
-
     def constraint(self, name, terms, op, rhs):
         if not terms:
-            return False
+            return
         parts = []
         for coeff, var in terms:
             if coeff == 1.0:
@@ -335,9 +331,9 @@ class _LpWriter:
         if body.startswith("+ "):
             body = body[2:]
         self.lines.append(f" {name}: {body} {op} {_t(rhs)}")
-        return True
 
-    def render(self):
+    def render(self, path=None):
+        """The model text; also written to ``path`` when one is given."""
         out = list(self.lines)
         out.append("Bounds")
         if self.binaries:
@@ -347,7 +343,35 @@ class _LpWriter:
             out.append("Generals")
             out.extend(f" {v}" for v in self.generals)
         out.append("End")
-        return "\n".join(out) + "\n"
+        text = "\n".join(out) + "\n"
+        if path is not None:
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+        return text
+
+
+def _assignment_rows(lp, mats, lanes):
+    """Serve each customer from one stop on one lane, and declare the ``z`` binaries.
+
+    ``z_{lane}{i}_{k}`` assigns customer k to stop i; the lane prefix is
+    empty for single-trip and ``"{l}_"`` for drone l in multi-trip.
+    """
+    for k in range(len(mats.v_serve)):
+        terms = [(1.0, f"z_{lane}{i}_{k}") for lane in lanes for i in mats.v_serve[k]]
+        lp.constraint(f"assign_{k}", terms, "=", 1.0)
+    w_sets = mats.w_sets
+    lp.binaries.extend(
+        f"z_{lane}{i}_{k}" for lane in lanes for i in range(1, len(w_sets)) for k in w_sets[i]
+    )
+
+
+def _fleet_rows(lp, w_sets, fleet_terms, rhs):
+    """No stop flies more single-trip flights than there are drones: ``rhs``
+    drones, or the fleet variable in ``fleet_terms`` with ``rhs`` 0."""
+    for i in range(1, len(w_sets)):
+        if w_sets[i]:
+            terms = [(1.0, f"z_{i}_{k}") for k in w_sets[i]] + fleet_terms
+            lp.constraint(f"fleet_{i}", terms, "<=", rhs)
 
 
 def export_milp(
@@ -368,16 +392,19 @@ def export_milp(
     if big_m <= 0:
         raise ValueError("big_m must be a positive upper bound on the objective")
     require_launch_sites(mats.v_serve)
-    n, m, u = inst.n, inst.m, inst.num_drones
+    n, u = inst.n, inst.num_drones
     multi = variant is Variant.MULTI
+    lanes = [f"{l}_" for l in range(u)] if multi else [""]  # see _assignment_rows
     t = mats.t
     trip = mats.trip
     w_sets = mats.w_sets
-    lp = _LpWriter(f"two-echelon truck-drone completion time, {variant.value}-trip: {inst.name}")
-    lp.objective(f"a_{n}")
+    title = f"two-echelon truck-drone completion time, {variant.value}-trip: {inst.name}"
+    lp = _LpWriter(title, f"a_{n}")
 
     nodes = list(range(n))
     arc_targets = [j for j in range(1, n)] + [n]
+    lp.binaries.extend(f"x_{i}_{j}" for i in nodes + [n] for j in nodes + [n] if i != j)
+    lp.binaries.extend(f"y_{i}" for i in nodes)
 
     # depot departure may go straight to the copy so an empty plan stays feasible
     lp.constraint("depart_depot", [(1.0, f"x_0_{j}") for j in arc_targets], "=", 1.0)
@@ -393,47 +420,18 @@ def export_milp(
         terms += [(-1.0, f"x_{i}_{j}") for j in arc_targets if j != i]
         lp.constraint(f"flow_{i}", terms, "=", 0.0)
 
-    if not multi:
+    for lane in lanes:
         for i in range(1, n):
             for k in w_sets[i]:
-                lp.constraint(f"link_{i}_{k}", [(1.0, f"z_{i}_{k}"), (-1.0, f"y_{i}")], "<=", 0.0)
-        for i in range(1, n):
-            terms = [(1.0, f"z_{i}_{k}") for k in w_sets[i]]
-            terms.append((-1.0, f"y_{i}"))
-            lp.constraint(f"cover_{i}", terms, ">=", 0.0)
-        for k in range(m):
-            lp.constraint(
-                f"assign_{k}",
-                [(1.0, f"z_{i}_{k}") for i in mats.v_serve[k]],
-                "=",
-                1.0,
-            )
-        for i in range(1, n):
-            if w_sets[i]:
-                lp.constraint(
-                    f"fleet_{i}", [(1.0, f"z_{i}_{k}") for k in w_sets[i]], "<=", float(u)
-                )
-    else:
-        for l in range(u):
-            for i in range(1, n):
-                for k in w_sets[i]:
-                    lp.constraint(
-                        f"link_{l}_{i}_{k}",
-                        [(1.0, f"z_{l}_{i}_{k}"), (-1.0, f"y_{i}")],
-                        "<=",
-                        0.0,
-                    )
-        for i in range(1, n):
-            terms = [(1.0, f"z_{l}_{i}_{k}") for l in range(u) for k in w_sets[i]]
-            terms.append((-1.0, f"y_{i}"))
-            lp.constraint(f"cover_{i}", terms, ">=", 0.0)
-        for k in range(m):
-            lp.constraint(
-                f"assign_{k}",
-                [(1.0, f"z_{l}_{i}_{k}") for l in range(u) for i in mats.v_serve[k]],
-                "=",
-                1.0,
-            )
+                terms = [(1.0, f"z_{lane}{i}_{k}"), (-1.0, f"y_{i}")]
+                lp.constraint(f"link_{lane}{i}_{k}", terms, "<=", 0.0)
+    for i in range(1, n):
+        terms = [(1.0, f"z_{lane}{i}_{k}") for lane in lanes for k in w_sets[i]]
+        terms.append((-1.0, f"y_{i}"))
+        lp.constraint(f"cover_{i}", terms, ">=", 0.0)
+    _assignment_rows(lp, mats, lanes)
+    if not multi:
+        _fleet_rows(lp, w_sets, [], float(u))
 
     for i in nodes:
         for j in arc_targets:
@@ -478,58 +476,31 @@ def export_milp(
                 terms += [(-trip[i][k], f"z_{l}_{i}_{k}") for k in w_sets[i]]
                 lp.constraint(f"wait_{i}_{l}", terms, ">=", 0.0)
 
-    for i in nodes + [n]:
-        for j in nodes + [n]:
-            if i != j:
-                lp.binaries.append(f"x_{i}_{j}")
-    lp.binaries.extend(f"y_{i}" for i in nodes)
-    if not multi:
-        lp.binaries.extend(f"z_{i}_{k}" for i in range(1, n) for k in w_sets[i])
-    else:
-        lp.binaries.extend(
-            f"z_{l}_{i}_{k}" for l in range(u) for i in range(1, n) for k in w_sets[i]
-        )
-
-    text = lp.render()
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-    return text
+    return lp.render(path)
 
 
 def export_umin_milp(inst: Instance, mats: TimeMatrices, path=None) -> str:
     """Write the minimum-fleet-size model (integer fleet variable) in LP format."""
-    n, m = inst.n, inst.m
-    w_sets = mats.w_sets
-    lp = _LpWriter(f"minimum fleet size: {inst.name}")
-    lp.objective("u")
-    for k in range(m):
-        lp.constraint(
-            f"assign_{k}", [(1.0, f"z_{i}_{k}") for i in mats.v_serve[k]], "=", 1.0
-        )
-    for i in range(1, n):
-        if not w_sets[i]:
-            continue
-        terms = [(1.0, f"z_{i}_{k}") for k in w_sets[i]]
-        terms.append((-1.0, "u"))
-        lp.constraint(f"fleet_{i}", terms, "<=", 0.0)
-    lp.binaries.extend(f"z_{i}_{k}" for i in range(1, n) for k in w_sets[i])
+    lp = _LpWriter(f"minimum fleet size: {inst.name}", "u")
+    _assignment_rows(lp, mats, [""])
+    _fleet_rows(lp, mats.w_sets, [(-1.0, "u")], 0.0)
     lp.generals.append("u")
-    text = lp.render()
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-    return text
+    return lp.render(path)
 
 
 # --- solver value import -------------------------------------------------------------
 
 
+# the variables a solver value file may set: (name prefix, number of indices)
+_VALUE_NAMES = frozenset({("x", 2), ("y", 1), ("z", 2), ("z", 3), ("a", 1), ("s", 1), ("u", 0)})
+
+
 def _parse_binary(name: str, value: float) -> int:
-    rounded = round(value)
-    if rounded not in (0, 1) or abs(value - rounded) > 1e-4:
-        raise MilpParseError(f"variable {name} has non-binary value {value}")
-    return int(rounded)
+    if math.isfinite(value):
+        rounded = round(value)
+        if rounded in (0, 1) and abs(value - rounded) <= 1e-4:
+            return rounded
+    raise MilpParseError(f"variable {name} has non-binary value {value}")
 
 
 def import_milp_solution(
@@ -567,31 +538,28 @@ def import_milp_solution(
     saw_multi = False
     saw_single = False
     for name, value in values.items():
-        fields = name.split("_")
-        if fields[0] == "x" and len(fields) == 3:
-            if _parse_binary(name, value):
-                i, j = int(fields[1]), int(fields[2])
-                if i in succ:
-                    raise MilpParseError(f"node {i} has two outgoing arcs set")
-                succ[i] = j
-        elif fields[0] == "z" and len(fields) == 3:
-            saw_single = True
-            if _parse_binary(name, value):
-                assign[int(fields[2])] = int(fields[1])
-        elif fields[0] == "z" and len(fields) == 4:
-            saw_multi = True
-            if _parse_binary(name, value):
-                l, i, k = int(fields[1]), int(fields[2]), int(fields[3])
-                assign[k] = i
-                drone_of[k] = l
-        elif fields[0] == "y" and len(fields) == 2:
-            _parse_binary(name, value)
-        elif fields[0] in ("a", "s") and len(fields) == 2:
-            pass
-        elif name == "u":
-            pass
-        else:
+        prefix, *fields = name.split("_")
+        if (prefix, len(fields)) not in _VALUE_NAMES:
             raise MilpParseError(f"unrecognized variable name {name!r}")
+        try:
+            index = [int(f) for f in fields]
+        except ValueError:
+            raise MilpParseError(f"variable {name} has a non-integer index") from None
+        if prefix == "z":
+            saw_single |= len(index) == 2
+            saw_multi |= len(index) == 3
+        if prefix in ("a", "s", "u") or not _parse_binary(name, value):
+            continue
+        if prefix == "x":
+            i, j = index
+            if i in succ:
+                raise MilpParseError(f"node {i} has two outgoing arcs set")
+            succ[i] = j
+        elif prefix == "z":
+            *lane, i, k = index
+            assign[k] = i
+            if lane:
+                drone_of[k] = lane[0]
 
     if variant is None:
         variant = Variant.MULTI if saw_multi and not saw_single else Variant.SINGLE

@@ -741,39 +741,6 @@ class DeltaCache:
         evaluate(sol, self.inst, self.mats)
         return sol
 
-    def coherence_errors(self) -> list[str]:
-        """Compare every cache against a from-scratch recomputation (test aid).
-
-        The waits are also checked against :func:`evaluate`, whose stop
-        waits are the per-variant reference.
-        """
-        errors = []
-        if abs(self.travel_time - self._legs_sum(self.tour)) > 1e-9:
-            errors.append("travel_time drifted")
-        if self._position != {node: idx for idx, node in enumerate(self.tour)}:
-            errors.append("position map stale")
-        for i in self.tour:
-            custs = self.cust_at[i]
-            if len(custs) > self.cap:
-                errors.append(f"node {i} holds {len(custs)} customers, cap {self.cap}")
-            drones = self.drones[i]
-            on_drones = sorted(k for l, dr in enumerate(drones) for k in dr if self.drone_of[k] == l)
-            if on_drones != custs or any(dr != sorted(dr) for dr in drones):
-                errors.append(f"drone lists stale at node {i}")
-            loads = [sum(self.trip[i][k] for k in dr) for dr in drones]
-            if any(abs(a - b) > 1e-9 for a, b in zip(self.loads[i], loads)):
-                errors.append(f"load stale at node {i}")
-            ranked = sorted(loads)
-            exact = (ranked[-1], ranked[-2] if self.u > 1 else 0.0, ranked[0])
-            cached = (self.wait[i], self.second[i], self.min_load[i])
-            if any(abs(a - b) > 1e-9 for a, b in zip(cached, exact)):
-                errors.append(f"wait, second or least load stale at node {i}")
-        if not errors:
-            waits = self.export_solution().waits
-            errors += [f"wait at node {i} differs from evaluate" for i in self.tour
-                       if abs(self.wait[i] - waits[i]) > 1e-9]
-        return errors
-
 
 def local_search(sol: Solution, inst: Instance, mats: TimeMatrices, on_move=None) -> Solution:
     """Improve ``sol`` to a combined fixpoint of all operators for its variant."""

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,10 +23,6 @@ class TwoEchoError(Exception):
 
 class InfeasibleInstanceError(TwoEchoError):
     """The instance admits no feasible solution (or violates its own invariants)."""
-
-
-class CapacityExceededError(TwoEchoError):
-    """More single-trip flights requested at a stop than there are drones."""
 
 
 class InputFileError(TwoEchoError):
@@ -182,18 +178,6 @@ def build_time_matrices(inst: Instance) -> TimeMatrices:
     )
 
 
-def node_wait_single(trips: Sequence[float], num_drones: int) -> float:
-    """Stop wait when every flight uses its own drone: the longest round trip."""
-    if len(trips) > num_drones:
-        raise CapacityExceededError(f"{len(trips)} flights but only {num_drones} drones")
-    return max(trips, default=0.0)
-
-
-def node_wait_multi(per_drone_trips: Iterable[Sequence[float]]) -> float:
-    """Stop wait when drones fly repeatedly: the busiest drone's total airtime."""
-    return max((sum(r, 0.0) for r in per_drone_trips), default=0.0)
-
-
 # --- solutions ---------------------------------------------------------------
 
 
@@ -257,91 +241,20 @@ class Solution:
 # --- feasibility -------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class Violation:
-    """Base class for feasibility violations (reported, never raised directly)."""
+    """One broken constraint, reported and never raised; ``str()`` gives its text.
 
+    ``kind`` is one of ``tour``, ``unknown``, ``unassigned``, ``depot``,
+    ``unvisited``, ``range``, ``capacity``, ``drone``, ``empty`` and
+    ``objective`` (a stored objective that re-evaluation does not reproduce).
+    """
 
-@dataclass(frozen=True)
-class TourViolation(Violation):
-    detail: str
-
-    def __str__(self):
-        return f"tour: {self.detail}"
-
-
-@dataclass(frozen=True)
-class UnassignedCustomer(Violation):
-    customer: int
+    kind: str
+    text: str
 
     def __str__(self):
-        return f"customer {self.customer} is not assigned to any stop"
-
-
-@dataclass(frozen=True)
-class UnknownCustomer(Violation):
-    customer: int
-
-    def __str__(self):
-        return f"assignment references unknown customer {self.customer}"
-
-
-@dataclass(frozen=True)
-class RangeViolation(Violation):
-    customer: int
-    node: int
-
-    def __str__(self):
-        return f"customer {self.customer} is out of drone range from node {self.node}"
-
-
-@dataclass(frozen=True)
-class CapacityViolation(Violation):
-    node: int
-
-    def __str__(self):
-        return f"node {self.node} serves more customers than there are drones"
-
-
-@dataclass(frozen=True)
-class DepotLaunchViolation(Violation):
-    customer: int
-
-    def __str__(self):
-        return f"customer {self.customer} is assigned to the depot, which cannot launch drones"
-
-
-@dataclass(frozen=True)
-class UnvisitedNodeViolation(Violation):
-    customer: int
-    node: int
-
-    def __str__(self):
-        return f"customer {self.customer} is assigned to node {self.node} which the truck never visits"
-
-
-@dataclass(frozen=True)
-class EmptyNodeViolation(Violation):
-    node: int
-
-    def __str__(self):
-        return f"visited node {self.node} serves no customer"
-
-
-@dataclass(frozen=True)
-class DroneIndexViolation(Violation):
-    customer: int
-
-    def __str__(self):
-        return f"customer {self.customer} has no valid drone index"
-
-
-@dataclass(frozen=True)
-class ObjectiveMismatch(Violation):
-    stored: float
-    recomputed: float
-
-    def __str__(self):
-        return f"stored objective {self.stored} differs from recomputed {self.recomputed}"
+        return self.text
 
 
 def check_feasibility(sol: Solution, inst: Instance, mats: TimeMatrices) -> list[Violation]:
@@ -350,33 +263,32 @@ def check_feasibility(sol: Solution, inst: Instance, mats: TimeMatrices) -> list
     n, m = inst.n, inst.m
 
     if not sol.tour or sol.tour[0] != 0:
-        out.append(TourViolation("must start at the depot (node 0)"))
+        out.append(Violation("tour", "tour: must start at the depot (node 0)"))
     if len(set(sol.tour)) != len(sol.tour):
-        out.append(TourViolation("repeats a node"))
+        out.append(Violation("tour", "tour: repeats a node"))
     bad = [i for i in sol.tour if not 0 <= i < n]
     if bad:
-        out.append(TourViolation(f"unknown node indices {bad}"))
+        out.append(Violation("tour", f"tour: unknown node indices {bad}"))
         return out
     visited = set(sol.tour)
 
     for k in sol.assign:
         if not 0 <= k < m:
-            out.append(UnknownCustomer(k))
+            out.append(Violation("unknown", f"assignment references unknown customer {k}"))
     for k in range(m):
         i = sol.assign.get(k)
         if i is None:
-            out.append(UnassignedCustomer(k))
+            out.append(Violation("unassigned", f"customer {k} is not assigned to any stop"))
             continue
         if i == 0:
-            out.append(DepotLaunchViolation(k))
+            text = f"customer {k} is assigned to the depot, which cannot launch drones"
+            out.append(Violation("depot", text))
             continue
-        if not 0 <= i < n:
-            out.append(UnvisitedNodeViolation(k, i))
-            continue
-        if i not in visited:
-            out.append(UnvisitedNodeViolation(k, i))
-        if mats.trip[i][k] > inst.endurance + TIME_EPS:
-            out.append(RangeViolation(k, i))
+        if i not in visited:  # also catches an index outside the instance
+            text = f"customer {k} is assigned to node {i} which the truck never visits"
+            out.append(Violation("unvisited", text))
+        if 0 <= i < n and mats.trip[i][k] > inst.endurance + TIME_EPS:
+            out.append(Violation("range", f"customer {k} is out of drone range from node {i}"))
 
     served: dict[int, int] = {}
     for k, i in sol.assign.items():
@@ -384,15 +296,16 @@ def check_feasibility(sol: Solution, inst: Instance, mats: TimeMatrices) -> list
     if sol.variant is Variant.SINGLE:
         for i, cnt in served.items():
             if cnt > inst.num_drones:
-                out.append(CapacityViolation(i))
+                text = f"node {i} serves more customers than there are drones"
+                out.append(Violation("capacity", text))
     else:
         for k in range(m):
             l = None if sol.drone_of is None else sol.drone_of.get(k)
             if l is None or not 0 <= l < inst.num_drones:
-                out.append(DroneIndexViolation(k))
+                out.append(Violation("drone", f"customer {k} has no valid drone index"))
     for i in sol.tour[1:]:
         if served.get(i, 0) == 0:
-            out.append(EmptyNodeViolation(i))
+            out.append(Violation("empty", f"visited node {i} serves no customer"))
     return out
 
 
@@ -415,23 +328,18 @@ def evaluate(sol: Solution, inst: Instance, mats: TimeMatrices) -> Evaluation:
     if violations:
         raise InfeasibleSolutionError(violations)
 
-    trips_at: dict[int, list[float]] = {i: [] for i in sol.tour}
-    per_drone: dict[int, list[list[float]]] = {}
-    if sol.variant is Variant.MULTI:
-        per_drone = {i: [[] for _ in range(inst.num_drones)] for i in sol.tour}
+    # a stop waits for its busiest lane: a multi-trip lane is a drone, and
+    # each single-trip flight is a lane of its own (check_feasibility has
+    # already capped those flights at one per drone)
+    multi = sol.variant is Variant.MULTI
     trip = mats.trip
+    lanes: dict[tuple[int, int], list[float]] = {}
     for k in range(inst.m):
         i = sol.assign[k]
-        trips_at[i].append(trip[i][k])
-        if sol.variant is Variant.MULTI:
-            per_drone[i][sol.drone_of[k]].append(trip[i][k])
-
-    waits: dict[int, float] = {}
-    for i in sol.tour:
-        if sol.variant is Variant.SINGLE:
-            waits[i] = node_wait_single(trips_at[i], inst.num_drones)
-        else:
-            waits[i] = node_wait_multi(per_drone[i])
+        lanes.setdefault((i, sol.drone_of[k] if multi else k), []).append(trip[i][k])
+    waits = dict.fromkeys(sol.tour, 0.0)
+    for (i, _), flights in lanes.items():
+        waits[i] = max(waits[i], sum(flights, 0.0))
 
     arrivals: dict[int, float] = {}
     clock = 0.0
@@ -484,41 +392,7 @@ class RunReport:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "variant": self.variant.value,
-            "num_drones": self.num_drones,
-            "drone_speed": self.drone_speed,
-            "visited": self.visited,
-            "objective": self.objective,
-            "wait_time": self.wait_time,
-            "travel_time": self.travel_time,
-            "gap": self.gap,
-            "iterations": self.iterations,
-            "wall_time": self.wall_time,
-            "tsp_objective": self.tsp_objective,
-            "construction_failures": self.construction_failures,
-            "repeated_starts": self.repeated_starts,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "RunReport":
-        return cls(
-            instance=data["instance"],
-            variant=Variant.parse(data["variant"]),
-            num_drones=int(data["num_drones"]),
-            drone_speed=float(data["drone_speed"]),
-            visited=int(data["visited"]),
-            objective=float(data["objective"]),
-            wait_time=float(data["wait_time"]),
-            travel_time=float(data["travel_time"]),
-            gap=None if data.get("gap") is None else float(data["gap"]),
-            iterations=int(data["iterations"]),
-            wall_time=float(data["wall_time"]),
-            tsp_objective=None if data.get("tsp_objective") is None else float(data["tsp_objective"]),
-            construction_failures=int(data.get("construction_failures", 0)),
-            repeated_starts=int(data.get("repeated_starts", 0)),
-        )
+        return {**asdict(self), "variant": self.variant.value}
 
 
 # --- JSON file formats --------------------------------------------------------
@@ -601,7 +475,3 @@ def load_solution(path) -> Solution:
 
 def save_report(report: RunReport, path) -> None:
     _dump(report.to_json_dict(), path)
-
-
-def load_report(path) -> RunReport:
-    return _load(path, RunReport.from_json_dict)

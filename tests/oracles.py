@@ -4,7 +4,8 @@ Brute-force enumeration only, no shared solver code, plus three reference
 implementations: the array-based construction that the incremental one in
 ``twoecho.construct`` must reproduce draw for draw, the cost of one
 serving choice that its roulette weights must invert, and the tour pricing
-whose tie-breaks ``twoecho.exact`` must keep.
+whose tie-breaks ``twoecho.exact`` must keep. ``coherence_errors`` checks a
+local-search cache against a from-scratch recomputation.
 """
 
 import itertools
@@ -317,3 +318,37 @@ def assignment_cost(k, i, state, variant):
     if not state.visited[i]:
         delta += state.step_ic[i]
     return delta
+
+
+def coherence_errors(cache):
+    """Compare every cache of a ``DeltaCache`` against a from-scratch recomputation.
+
+    The waits are also checked against :func:`twoecho.evaluate`, whose stop
+    waits are the per-variant reference.
+    """
+    errors = []
+    if abs(cache.travel_time - cache._legs_sum(cache.tour)) > 1e-9:
+        errors.append("travel_time drifted")
+    if cache._position != {node: idx for idx, node in enumerate(cache.tour)}:
+        errors.append("position map stale")
+    for i in cache.tour:
+        custs = cache.cust_at[i]
+        if len(custs) > cache.cap:
+            errors.append(f"node {i} holds {len(custs)} customers, cap {cache.cap}")
+        drones = cache.drones[i]
+        on_drones = sorted(k for l, dr in enumerate(drones) for k in dr if cache.drone_of[k] == l)
+        if on_drones != custs or any(dr != sorted(dr) for dr in drones):
+            errors.append(f"drone lists stale at node {i}")
+        loads = [sum(cache.trip[i][k] for k in dr) for dr in drones]
+        if any(abs(a - b) > 1e-9 for a, b in zip(cache.loads[i], loads)):
+            errors.append(f"load stale at node {i}")
+        ranked = sorted(loads)
+        exact = (ranked[-1], ranked[-2] if cache.u > 1 else 0.0, ranked[0])
+        cached = (cache.wait[i], cache.second[i], cache.min_load[i])
+        if any(abs(a - b) > 1e-9 for a, b in zip(cached, exact)):
+            errors.append(f"wait, second or least load stale at node {i}")
+    if not errors:
+        waits = cache.export_solution().waits
+        errors += [f"wait at node {i} differs from evaluate" for i in cache.tour
+                   if abs(cache.wait[i] - waits[i]) > 1e-9]
+    return errors

@@ -6,7 +6,6 @@ import pytest
 from helpers import run_python
 from twoecho import load_instance, load_solution
 from twoecho.cli import main
-from twoecho.model import load_report
 
 
 def run_cli(*args):
@@ -28,9 +27,10 @@ def test_gen_solve_verify_pipeline(tmp_path):
         == 0
     )
     sol = load_solution(sol_path)
-    report = load_report(rep_path)
-    assert report.iterations == 120
-    assert report.objective == pytest.approx(sol.objective)
+    report = json.loads(rep_path.read_text())
+    assert report["iterations"] == 120
+    assert report["variant"] == "multi"
+    assert report["objective"] == pytest.approx(sol.objective)
     assert run_cli("verify", inst_path, sol_path) == 0
 
 
@@ -111,6 +111,18 @@ def test_export_and_import_milp(tmp_path):
     )
     assert run_cli("import-milp-solution", inst_path, values, "--out", out) == 0
     assert run_cli("verify", inst_path, out) == 0
+
+
+def test_malformed_value_file_is_one_error_line(tmp_path, capsys):
+    inst_path = tmp_path / "i.json"
+    values = tmp_path / "values.sol"
+    run_cli("gen", "--d", 20, "--n", 3, "--m", 1, "--seed", 13, "--out", inst_path)
+    for line in ("x_a_1 1", "z_1_x 1", "x_0_1 nan", "x_0_1 inf"):
+        values.write_text(f"{line}\n")
+        capsys.readouterr()
+        assert run_cli("import-milp-solution", inst_path, values) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: variable ") and err.count("\n") == 1, line
 
 
 def test_compare_tsp_csv(tmp_path):
@@ -223,9 +235,9 @@ def test_compare_tsp_writes_the_truck_speed_and_solves_the_tsp_once(tmp_path, mo
 def test_solve_reports_repeated_starts(tiny_instance, tmp_path, capsys):
     rep_path = tmp_path / "r.json"
     assert run_cli("solve", tiny_instance, "--iters", 200, "--report", rep_path) == 0
-    report = load_report(rep_path)
-    assert report.repeated_starts > 0
-    assert f"({report.repeated_starts} repeated starts)" in capsys.readouterr().out
+    repeated = json.loads(rep_path.read_text())["repeated_starts"]
+    assert repeated > 0
+    assert f"({repeated} repeated starts)" in capsys.readouterr().out
 
 
 def test_bench_sizes_the_fleet_at_40_kmh(tmp_path):
@@ -266,6 +278,15 @@ def test_out_of_range_values_are_usage_errors(tiny_instance, tmp_path, capsys):
     _assert_usage_error(capsys, "gen", "--d", 10, "--n", 0, "--out", out)
     _assert_usage_error(capsys, "gen", "--d", 10, "--n", 1, "--m", 3, "--out", out)
     _assert_usage_error(capsys, "gen", "--d", 10, "--n", 3, "--m", -1, "--out", out)
+    _assert_usage_error(capsys, "gen", "--d", "inf", "--n", 3, "--m", 2, "--out", out)
+    _assert_usage_error(capsys, "gen", "--d", 10, "--n", 3, "--m", 2, "--seed", -1, "--out", out)
+    _assert_usage_error(capsys, "solve", tiny_instance, "--iters", 5, "--seed", -1, "--out", out)
+    _assert_usage_error(
+        capsys, "compare-tsp", coincident, "--iters", 5, "--seed", -1, "--out", out
+    )
+    _assert_usage_error(
+        capsys, "bench", tiny_instance, "--iters", 5, "--seed", -1, "--skip-exact", "--out", out
+    )
     assert not out.exists()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import make_instance, random_feasible_solution, random_instance
-from oracles import brute_pack_makespan
+from oracles import brute_pack_makespan, coherence_errors
 from twoecho import (
     DeltaCache,
     Solution,
@@ -71,7 +71,7 @@ def test_single_trip_stays_coherent_with_zero_trips():
 
         def hook(name, delta):
             nonlocal checked, shared
-            assert cache.coherence_errors() == [], name
+            assert coherence_errors(cache) == [], name
             checked += 1
             shared += any(len(dr) > 1 for drones in cache.drones.values() for dr in drones)
 
@@ -274,7 +274,7 @@ def test_deltas_match_reevaluation_and_strict_improvement():
 
             cache.on_move = hook
             cache.run()
-            assert cache.coherence_errors() == []
+            assert coherence_errors(cache) == []
     assert checked > 200
 
 

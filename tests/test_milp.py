@@ -200,3 +200,21 @@ def test_import_bad_line_rejected(tmp_path):
     values.write_text("x_0_1 1 extra tokens\n")
     with pytest.raises(MilpParseError):
         import_milp_solution(values, inst, mats)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("x_a_1 1", "variable x_a_1 has a non-integer index"),
+        ("z_1_x 1", "variable z_1_x has a non-integer index"),
+        ("x_0_1 nan", "variable x_0_1 has non-binary value nan"),
+        ("x_0_1 inf", "variable x_0_1 has non-binary value inf"),
+    ],
+)
+def test_import_malformed_variable_names_the_variable(tmp_path, line, message):
+    inst, mats = _m1_instance()
+    values = tmp_path / "values.sol"
+    values.write_text(f"{line}\nx_1_2 1\n")
+    with pytest.raises(MilpParseError) as err:
+        import_milp_solution(values, inst, mats)
+    assert str(err.value) == message

@@ -16,14 +16,7 @@ from twoecho import (
     check_feasibility,
     evaluate,
 )
-from twoecho.model import (
-    CapacityViolation,
-    DepotLaunchViolation,
-    RangeViolation,
-    UnassignedCustomer,
-    instance_from_json_dict,
-    instance_to_json_dict,
-)
+from twoecho.model import instance_from_json_dict, instance_to_json_dict
 
 
 def test_truck_time_manhattan():
@@ -173,7 +166,7 @@ def test_evaluate_rejects_infeasible():
     mats = build_time_matrices(inst)
     with pytest.raises(InfeasibleSolutionError) as err:
         evaluate(Solution(Variant.SINGLE, [0, 1], {}), inst, mats)
-    assert any(isinstance(v, UnassignedCustomer) for v in err.value.violations)
+    assert any(v.kind == "unassigned" for v in err.value.violations)
 
 
 def test_check_feasibility_cases():
@@ -186,17 +179,17 @@ def test_check_feasibility_cases():
     # single-trip capacity: two customers on one node with one drone
     single = Solution(Variant.SINGLE, [0, 1], {0: 1, 1: 1})
     v = check_feasibility(single, inst, mats)
-    assert any(isinstance(x, CapacityViolation) for x in v)
+    assert any(x.kind == "capacity" for x in v)
 
     # out of range: node 2 is ~18 km from customer 0
     ranged = Solution(Variant.SINGLE, [0, 1, 2], {0: 2, 1: 1})
     v = check_feasibility(ranged, inst, mats)
-    assert any(isinstance(x, RangeViolation) for x in v)
+    assert any(x.kind == "range" for x in v)
 
     # depot launches are forbidden
     depot = Solution(Variant.SINGLE, [0, 1], {0: 0, 1: 1})
     v = check_feasibility(depot, inst, mats)
-    assert any(isinstance(x, DepotLaunchViolation) for x in v)
+    assert any(x.kind == "depot" for x in v)
 
 
 def test_violation_messages_are_pinned():
@@ -250,6 +243,24 @@ def test_violation_messages_are_pinned():
     ]
     for sol, expected in cases:
         assert [str(v) for v in check_feasibility(sol, inst, mats)] == expected, sol
+
+
+def test_each_violation_carries_its_kind():
+    inst = make_instance([(0, 0), (8, 0), (0, 20)], [(8, 4), (8, 6)], num_drones=1)
+    mats = build_time_matrices(inst)
+    S, M = Variant.SINGLE, Variant.MULTI
+    cases = [
+        (Solution(S, [1, 2, 2], {0: 0, 1: 2, 4: 1}), ["tour", "tour", "unknown", "depot", "range"]),
+        (Solution(S, [0, 1, 5], {0: 1, 1: 1}), ["tour"]),
+        (Solution(S, [0, 1], {0: 1}), ["unassigned"]),
+        (Solution(S, [0, 1], {0: 2, 1: 1}), ["unvisited", "range"]),
+        (Solution(S, [0, 1], {0: 9, 1: 1}), ["unvisited"]),
+        (Solution(S, [0, 1], {0: 1, 1: 1}), ["capacity"]),
+        (Solution(M, [0, 1], {0: 1, 1: 1}, {0: 0, 1: 3}), ["drone"]),
+        (Solution(M, [0, 1, 2], {0: 1, 1: 1}, {0: 0, 1: 0}), ["empty"]),
+    ]
+    for sol, kinds in cases:
+        assert [v.kind for v in check_feasibility(sol, inst, mats)] == kinds, sol
 
 
 def test_evaluate_independent_of_dict_order():
