@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .exact import _closing, _held_karp, _tour
+from .exact import _closing, _held_karp, _popcount_layers, _tour
 from .model import Instance, Point, RunReport, Variant, manhattan, euclidean
 
 EXACT_TSP_LIMIT = 16
@@ -81,13 +81,13 @@ def solve_tsp(points, speed: float) -> TspResult:
         raise ValueError("need at least one point")
     if n == 1:
         return TspResult((0,), 0.0, True)
-    pts = [Point(*p) for p in points]
+    pts = [Point(float(x), float(y)) for x, y in points]  # numpy scalars would leak into the result
     t = [[manhattan(a, b) / speed for b in pts] for a in pts]
     if n <= EXACT_TSP_LIMIT:
-        dp = _held_karp(t, n)
+        dp = _held_karp(t, _popcount_layers(n - 1))
         full = (1 << (n - 1)) - 1
-        cost, last = _closing(dp, t, full)
-        return TspResult(tuple(_tour(dp, t, full, last)), cost, True)
+        cost, last = _closing(dp, t, [full])
+        return TspResult(tuple(_tour(dp, t, full, int(last[0]))), float(cost[0]), True)
     tour = _nearest_neighbor(t)
     while _two_opt_pass(tour, t) or _or_opt_pass(tour, t):
         pass

@@ -176,10 +176,12 @@ def _cmd_gen(args) -> int:
     min_n = 2 if args.coincident or args.m > 0 else 1
     _require(args.n >= min_n, f"--n must be at least {min_n}, got {args.n}")
     _require(
-        0 < args.truck_speed <= args.drone_speed,
-        f"need 0 < --truck-speed <= --drone-speed, got {args.truck_speed:g} and {args.drone_speed:g}",
+        0 < args.truck_speed <= args.drone_speed < math.inf,
+        f"need 0 < --truck-speed <= --drone-speed < inf, got {args.truck_speed:g} and {args.drone_speed:g}",
     )
-    _require(args.endurance > 0, f"--endurance must be positive, got {args.endurance:g}")
+    _require(
+        0 < args.endurance < math.inf, f"--endurance must be positive and finite, got {args.endurance:g}"
+    )
     _at_least_one("--num-drones", args.num_drones)
     _seed(args)
     if args.coincident:
@@ -251,7 +253,7 @@ def _cmd_exact(args) -> int:
 
 def _cmd_export_milp(args) -> int:
     if args.big_m is not None:
-        _require(args.big_m > 0, f"--big-m must be positive, got {args.big_m:g}")
+        _require(0 < args.big_m < math.inf, f"--big-m must be positive and finite, got {args.big_m:g}")
     inst = load_instance(args.instance)
     mats = build_time_matrices(inst)
     if args.model == "umin":

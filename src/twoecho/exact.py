@@ -14,6 +14,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import (
     Instance,
     InfeasibleInstanceError,
@@ -121,37 +123,42 @@ def minmax_packing(trips: tuple[float, ...], drones: int) -> tuple[float, tuple[
 # --- tour pricing ---------------------------------------------------------------
 
 
-def _held_karp(t, n):
-    """dp[mask][b] = min time for depot -> ... -> node (b+1) visiting exactly mask.
-
-    Held & Karp (1962). Each cell pulls from the one mask it extends,
-    ``mask`` without ``b``; cells with ``b`` outside ``mask`` stay infinite.
-    """
-    m = n - 1
-    inf = float("inf")
-    dp = [[inf] * m for _ in range(1 << m)]
-    into = [[t[b + 1][j + 1] for b in range(m)] for j in range(m)]  # into[j][b]: b -> j
+def _popcount_layers(m):
+    """Every mask of ``m`` bits grouped by popcount: ``layers[s]`` holds the
+    masks with ``s`` bits, in ascending order."""
+    count = np.zeros(1 << m, dtype=np.int8)
     for b in range(m):
-        dp[1 << b][b] = t[0][b + 1]
-    for mask in range(3, 1 << m):
-        if not mask & (mask - 1):
-            continue  # a singleton, seeded from the depot
-        bits = [b for b in range(m) if (mask >> b) & 1]
-        row = dp[mask]
-        for j in bits:
-            prev = dp[mask ^ 1 << j]
-            tj = into[j]
-            row[j] = min([prev[b] + tj[b] for b in bits if b != j])
+        count[1 << b : 2 << b] = count[: 1 << b] + 1
+    return [np.flatnonzero(count == s) for s in range(m + 1)]
+
+
+def _held_karp(t, layers):
+    """dp[mask, b] = min time for depot -> ... -> node (b+1) visiting exactly mask.
+
+    Held & Karp (1962), one popcount layer at a time, for the masks in
+    ``layers`` (see :func:`_popcount_layers`; pass a prefix to stop early).
+    Each cell is the minimum of ``dp[mask ^ 1 << j, b] + t[b+1][j+1]`` over
+    every b; cells with ``b`` outside ``mask`` stay infinite, so only bits of
+    the mask can win and the minimum is over the same sums a scalar loop takes.
+    """
+    tt = np.asarray(t, dtype=float)
+    m = len(tt) - 1
+    dp = np.full((1 << m, m), np.inf)
+    dp[1 << np.arange(m), np.arange(m)] = tt[0, 1:]
+    into = np.ascontiguousarray(tt[1:, 1:].T)  # into[j, b]: b -> j
+    for layer in layers[2:]:
+        for j in range(m):
+            sel = layer[(layer >> j) & 1 == 1]
+            dp[sel, j] = (dp[sel ^ (1 << j)] + into[j]).min(axis=1)
     return dp
 
 
-def _closing(dp, t, mask):
-    """Cheapest return to the depot over subset ``mask``: (tour cost, last bit).
-
-    Ties go to the lowest bit.
-    """
-    row = dp[mask]
-    return min((row[b] + t[b + 1][0], b) for b in range(len(row)) if (mask >> b) & 1)
+def _closing(dp, t, masks):
+    """Cheapest return to the depot over each subset in ``masks``: (tour
+    costs, last bits) as arrays. Ties go to the lowest bit."""
+    back = np.array([row[0] for row in t[1:]], dtype=float)
+    close = dp[masks] + back
+    return close.min(axis=1), close.argmin(axis=1)
 
 
 def _tour(dp, t, mask, last):
@@ -161,13 +168,14 @@ def _tour(dp, t, mask, last):
     current cell exactly: ``_held_karp`` took its minimum over the same sums.
     """
     order = [last + 1]
+    row = dp[mask].tolist()
     while mask & (mask - 1):
-        cost = dp[mask][last]
+        cost = row[last]
         mask ^= 1 << last
-        prev = dp[mask]
+        row = dp[mask].tolist()
         col = last + 1
         last = next(
-            b for b in range(len(prev)) if (mask >> b) & 1 and prev[b] + t[b + 1][col] == cost
+            b for b in range(len(row)) if (mask >> b) & 1 and row[b] + t[b + 1][col] == cost
         )
         order.append(last + 1)
     order.append(0)
@@ -213,8 +221,15 @@ def solve_exact(
         serve_bits.append(bits)
 
     trip = mats.trip
-    dp = _held_karp(mats.t, n)
+    # subsets of more than m stops are skipped below, so their layers stay unfilled
+    layers = _popcount_layers(n - 1)[: m + 1]
+    dp = _held_karp(mats.t, layers)
     full = 1 << (n - 1)
+    close_cost = np.full(full, np.inf)
+    close_last = np.zeros(full, dtype=np.intp)
+    for layer in layers[1:]:
+        close_cost[layer], close_last[layer] = _closing(dp, mats.t, layer)
+    close_cost, close_last = close_cost.tolist(), close_last.tolist()
     best_obj = float("inf")
     best_payload = None
     subsets = 0
@@ -230,7 +245,7 @@ def solve_exact(
         if any(c == 0 for c in cand):
             continue
         subsets += 1
-        tour_cost, last = _closing(dp, mats.t, mask)
+        tour_cost, last = close_cost[mask], close_last[mask]
         if tour_cost >= best_obj:
             continue
 
@@ -389,8 +404,8 @@ def export_milp(
     to the summed form for forensic comparison; the default constrains the
     wait per customer, matching the parallel-flight semantics.
     """
-    if big_m <= 0:
-        raise ValueError("big_m must be a positive upper bound on the objective")
+    if not 0 < big_m < math.inf:
+        raise ValueError("big_m must be a positive, finite upper bound on the objective")
     require_launch_sites(mats.v_serve)
     n, u = inst.n, inst.num_drones
     multi = variant is Variant.MULTI

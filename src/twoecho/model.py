@@ -101,12 +101,12 @@ class Instance:
     def validate(self) -> None:
         if not self.truck_nodes:
             raise InfeasibleInstanceError("instance has no truck nodes")
-        if not (self.truck_speed > 0 and self.drone_speed >= self.truck_speed):
+        if not (0 < self.truck_speed <= self.drone_speed < math.inf):
             raise InfeasibleInstanceError(
-                f"speeds must satisfy drone >= truck > 0, got truck={self.truck_speed} drone={self.drone_speed}"
+                f"speeds must satisfy inf > drone >= truck > 0, got truck={self.truck_speed} drone={self.drone_speed}"
             )
-        if not self.endurance > 0:
-            raise InfeasibleInstanceError("endurance must be positive")
+        if not 0 < self.endurance < math.inf:
+            raise InfeasibleInstanceError("endurance must be positive and finite")
         if self.num_drones < 1:
             raise InfeasibleInstanceError("need at least one drone")
         for p in self.truck_nodes + self.customers:

@@ -1,5 +1,6 @@
 import csv
 import itertools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,17 @@ def test_exact_tour_breaks_ties_like_the_reference(points):
     cost, tour = reference_closed_tour(t, (1 << (len(points) - 1)) - 1)
     assert res.tour == tuple(tour)
     assert res.objective == cost
+
+
+def test_tsp_result_holds_builtin_types():
+    # numpy coordinates, as the generators give, on both the exact and the heuristic branch
+    rng = np.random.default_rng(53)
+    for n in (1, 2, 9, 16, 20):
+        res = solve_tsp(list(rng.uniform(0, 30, size=(n, 2))), speed=40.0)
+        assert res.exact == (n <= 16)
+        assert type(res.objective) is float
+        assert all(type(i) is int for i in res.tour)
+        json.dumps([res.tour, res.objective])
 
 
 def test_heuristic_branch_flagged_and_sane():

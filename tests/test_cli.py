@@ -280,6 +280,10 @@ def test_out_of_range_values_are_usage_errors(tiny_instance, tmp_path, capsys):
     _assert_usage_error(capsys, "gen", "--d", 10, "--n", 3, "--m", -1, "--out", out)
     _assert_usage_error(capsys, "gen", "--d", "inf", "--n", 3, "--m", 2, "--out", out)
     _assert_usage_error(capsys, "gen", "--d", 10, "--n", 3, "--m", 2, "--seed", -1, "--out", out)
+    gen = ("gen", "--d", 20, "--n", 4, "--m", 3, "--out", out)
+    _assert_usage_error(capsys, *gen, "--truck-speed", "inf", "--drone-speed", "inf")
+    _assert_usage_error(capsys, *gen, "--drone-speed", "inf")
+    _assert_usage_error(capsys, *gen, "--endurance", "inf")
     _assert_usage_error(capsys, "solve", tiny_instance, "--iters", 5, "--seed", -1, "--out", out)
     _assert_usage_error(
         capsys, "compare-tsp", coincident, "--iters", 5, "--seed", -1, "--out", out
@@ -333,6 +337,13 @@ def test_solution_file_that_is_not_an_object_is_one_error_line(tiny_instance, tm
 def test_non_positive_big_m_is_usage_error(tiny_instance, tmp_path, capsys):
     out = tmp_path / "model.lp"
     _assert_usage_error(capsys, "export-milp", tiny_instance, "--big-m", -1, "--out", out)
+    assert not out.exists()
+
+
+def test_non_finite_big_m_is_usage_error(tiny_instance, tmp_path, capsys):
+    out = tmp_path / "model.lp"
+    for value in ("inf", "nan"):
+        _assert_usage_error(capsys, "export-milp", tiny_instance, "--big-m", value, "--out", out)
     assert not out.exists()
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_instance, random_instance
-from oracles import brute_force_optimum, reference_closed_tour
+from oracles import _held_karp_paths, brute_force_optimum, reference_closed_tour
 from twoecho import (
     ExactLimits,
     GenConfig,
@@ -18,6 +18,7 @@ from twoecho import (
     run,
     solve_exact,
 )
+from twoecho import exact
 from twoecho.exact import minmax_packing
 
 
@@ -171,3 +172,46 @@ def test_exact_tour_is_the_reference_closed_tour_over_its_stops():
             cost, tour = reference_closed_tour(mats.t, mask)
             assert res.solution.tour == tour, (seed, variant)
             assert res.objective == pytest.approx(cost + sum(res.solution.waits.values()), abs=1e-12)
+
+
+_GRID_POINTS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12)
+_FLOAT_POINTS = st.lists(
+    st.tuples(st.floats(0, 30, allow_nan=False), st.floats(0, 30, allow_nan=False)),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_GRID_POINTS, _FLOAT_POINTS))
+def test_held_karp_table_is_the_reference_table(points):
+    # repeated grid points force ties; unfilled cells must be inf in both
+    t = [[(abs(a[0] - b[0]) + abs(a[1] - b[1])) / 40.0 for b in points] for a in points]
+    n = len(points)
+    table = exact._held_karp(t, exact._popcount_layers(n - 1))
+    assert table.shape == (1 << (n - 1), n - 1)
+    assert table.tolist() == _held_karp_paths(t, n)[0]
+
+
+def test_layer_cap_gives_the_uncapped_solution(monkeypatch):
+    # the same 12 instances as the reference-tour test above
+    capped = 0
+    for seed in range(12):
+        inst = generate(GenConfig(d=20, n_truck=3 + seed % 6, m_customers=3 + seed % 5, seed=seed))
+        mats = build_time_matrices(inst)
+        inst = inst.replaced(num_drones=compute_u_min(inst, mats))
+        mats = build_time_matrices(inst)
+        capped += inst.m < inst.n - 1
+        for variant in (Variant.SINGLE, Variant.MULTI):
+            res = solve_exact(inst, mats, variant)
+            nodes = list(res.solution.tour) + list(res.solution.assign.values())
+            assert all(type(i) is int for i in nodes), (seed, variant)
+            with monkeypatch.context() as patch:
+                fill = exact._held_karp
+                patch.setattr(
+                    exact, "_held_karp", lambda t, layers: fill(t, exact._popcount_layers(len(t) - 1))
+                )
+                full = solve_exact(inst, mats, variant)
+            assert res.solution.canonical_json() == full.solution.canonical_json(), (seed, variant)
+            assert res.proof == full.proof
+    assert capped >= 3

@@ -110,6 +110,15 @@ def test_lp_structure_basics():
     assert "z_1_1_0" in multi
 
 
+@pytest.mark.parametrize("big_m", [0.0, -1.0, float("inf"), float("nan")])
+def test_big_m_must_be_positive_and_finite(big_m):
+    inst = make_instance([(0, 0), (8, 0)], [(8, 6)], num_drones=2)
+    mats = build_time_matrices(inst)
+    for variant in (Variant.SINGLE, Variant.MULTI):
+        with pytest.raises(ValueError, match="big_m"):
+            export_milp(inst, mats, variant, big_m=big_m)
+
+
 def test_umin_model_has_integer_fleet_variable():
     inst = make_instance([(0, 0), (8, 0)], [(8, 6), (8, 2)], num_drones=1)
     mats = build_time_matrices(inst)

@@ -38,6 +38,21 @@ def test_unreachable_customer_makes_instance_invalid():
         make_instance([(0, 0)], [(11, 0)], drone_speed=40, endurance=0.5)
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"truck_speed": float("inf"), "drone_speed": float("inf")},
+        {"drone_speed": float("inf")},
+        {"endurance": float("inf")},
+        {"endurance": float("nan")},
+    ],
+)
+def test_non_finite_speeds_and_endurance_make_instance_invalid(changes):
+    inst = make_instance([(0, 0), (4, 0)], [(4, 3)])
+    with pytest.raises(InfeasibleInstanceError):
+        inst.replaced(**changes)
+
+
 def test_reach_sets_are_duals():
     rng = np.random.default_rng(5)
     inst = random_instance(rng, m_lo=5, m_hi=8)
