@@ -13,6 +13,11 @@ the solutions happen to match. It hashes the ``local_search`` result of each
 constructed solution separately, because many runs find their best solution
 early and would hide a changed search path.
 
+An exact case hashes ``solve_exact``'s solutions and search counts on one
+generated instance, in both variants at the minimum fleet and one drone
+more, so a rewrite of the enumeration must keep its optimum, its tie-breaks
+and how much it enumerated.
+
 The last bits of a multi-trip drone load depend on how ``sum`` adds floats,
 and CPython 3.12 made that a compensated sum, so the hashes hold for the
 interpreters before it.
@@ -26,6 +31,7 @@ import pytest
 
 from twoecho import (
     ConstructionFailed,
+    ExactLimits,
     GenConfig,
     GraspConfig,
     Variant,
@@ -36,6 +42,7 @@ from twoecho import (
     generate_coincident,
     local_search,
     run,
+    solve_exact,
 )
 
 S, M = Variant.SINGLE, Variant.MULTI
@@ -97,6 +104,23 @@ RUN_CASES = {
     ("random40", M, 7, 6): "a807b787d1bc5035",
 }
 
+# (truck nodes, customers, generator seed): expected hash prefix of the four
+# exact solutions and their search counts
+EXACT_CASES = {
+    (4, 3, 1): "c678e921d4e5f3ab",
+    (5, 4, 2): "debf05eb94f3c152",
+    (6, 5, 3): "d6dd3b4bdde4a92d",
+    (7, 5, 4): "6fb83daaaac6e1e8",
+    (7, 6, 5): "d23cfcb10a24c9d1",
+    (8, 6, 6): "56f3558feb86ce1b",
+    (9, 6, 7): "1fdb9b13488b9b69",
+    (9, 7, 8): "985e28dd338935d2",
+    (10, 7, 9): "c106bc4b53334f0a",
+    (10, 8, 10): "80bc797bb7aa2cdf",
+    (11, 7, 11): "82f3f8e4c09319db",
+    (12, 8, 12): "711d6f7603adaf86",
+}
+
 
 def _digest(parts):
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
@@ -126,6 +150,20 @@ def run_fingerprint(name, variant, seed, n_max):
     return _digest([best.canonical_json()])
 
 
+def exact_fingerprint(n, m, seed):
+    inst = generate(GenConfig(d=20, n_truck=n, m_customers=m, seed=seed))
+    u_min = compute_u_min(inst, build_time_matrices(inst))
+    parts = []
+    for u in (u_min, u_min + 1):
+        fleet = inst.replaced(num_drones=u)
+        mats = build_time_matrices(fleet)
+        for variant in (S, M):
+            res = solve_exact(fleet, mats, variant, ExactLimits(max_truck_nodes=12))
+            parts.append(res.solution.canonical_json())
+            parts.append(f"{res.proof.subsets} {res.proof.assignments}")
+    return _digest(parts)
+
+
 def _case_id(case):
     name, variant, seed, size = case
     return f"{name}-{variant.value}-{seed}-{size}"
@@ -139,6 +177,11 @@ def test_construction_sequence_frozen(case):
 @pytest.mark.parametrize("case", list(RUN_CASES), ids=_case_id)
 def test_single_threaded_run_frozen(case):
     assert run_fingerprint(*case) == RUN_CASES[case]
+
+
+@pytest.mark.parametrize("case", list(EXACT_CASES), ids=lambda c: "n{}-m{}-s{}".format(*c))
+def test_exact_solutions_frozen(case):
+    assert exact_fingerprint(*case) == EXACT_CASES[case]
 
 
 def test_frozen_cases_include_construction_failures():
