@@ -49,7 +49,10 @@ def _seed(args) -> int:
 
 def _check_speeds(speeds, truck_speed: float) -> None:
     for vd in speeds:
-        _require(vd >= truck_speed, f"--speeds must be at least the truck speed {truck_speed:g}, got {vd:g}")
+        _require(
+            truck_speed <= vd < math.inf,
+            f"--speeds must be finite and at least the truck speed {truck_speed:g}, got {vd:g}",
+        )
 
 
 def _threads(args) -> int:

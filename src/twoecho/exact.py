@@ -213,12 +213,7 @@ def solve_exact(
         return ExactResult(sol, sol.objective, SearchProof(subsets=1, assignments=1))
 
     require_launch_sites(mats.v_serve)
-    serve_bits = []
-    for sites in mats.v_serve:
-        bits = 0
-        for i in sites:
-            bits |= 1 << (i - 1)
-        serve_bits.append(bits)
+    serve_bits = [sum(1 << (i - 1) for i in sites) for sites in mats.v_serve]
 
     trip = mats.trip
     # subsets of more than m stops are skipped below, so their layers stay unfilled
@@ -234,71 +229,66 @@ def solve_exact(
     best_payload = None
     subsets = 0
     leaves = 0
+    # search state for every subset: per node its wait and trips, which dfs
+    # puts back as it returns, and per customer the stop on the current path
+    waits = [0.0] * n
+    trips_at: list[list[float]] = [[] for _ in range(n)]
+    assigned = [0] * m
+
+    def dfs(pos, empties, total_wait):
+        # reads the subset the loop below is at: mask, tour_cost, cands, order
+        nonlocal best_obj, best_payload, leaves
+        if tour_cost + total_wait >= best_obj:
+            return
+        if pos == m:
+            leaves += 1
+            best_obj = tour_cost + total_wait
+            best_payload = (mask, list(assigned))
+            return
+        k = order[pos]
+        remaining = m - pos
+        for i in cands[k]:
+            here = trips_at[i]
+            cnt = len(here)
+            if cnt >= cap:
+                continue
+            new_empties = empties - (1 if cnt == 0 else 0)
+            if new_empties > remaining - 1:
+                continue
+            tk = trip[i][k]
+            old_wait = waits[i]
+            here.append(tk)
+            if cnt < u:
+                # a drone per flight: the stop waits for its longest flight
+                new_wait = old_wait if old_wait >= tk else tk
+            else:
+                new_wait = minmax_packing(tuple(sorted(here, reverse=True)), u)[0]
+            waits[i] = new_wait
+            assigned[k] = i
+            dfs(pos + 1, new_empties, total_wait + new_wait - old_wait)
+            here.pop()
+            waits[i] = old_wait
 
     for mask in range(1, full):
         size = mask.bit_count()
-        if size > m:
-            continue
-        if m > cap * size:
-            continue
-        cand = [serve_bits[k] & mask for k in range(m)]
-        if any(c == 0 for c in cand):
+        if size > m or m > cap * size or not all(bits & mask for bits in serve_bits):
             continue
         subsets += 1
-        tour_cost, last = close_cost[mask], close_last[mask]
+        tour_cost = close_cost[mask]
         if tour_cost >= best_obj:
             continue
-
-        nodes = [b + 1 for b in range(n - 1) if (mask >> b) & 1]
-        order = sorted(range(m), key=lambda k: (bin(cand[k]).count("1"), k))
-        cand_nodes = [[b + 1 for b in range(n - 1) if (cand[k] >> b) & 1] for k in range(m)]
-        waits = {i: 0.0 for i in nodes}
-        trips_at: dict[int, list[float]] = {i: [] for i in nodes}
-        assigned: dict[int, int] = {}
-        empties = len(nodes)
-        total_wait = 0.0
-
-        def dfs(pos, empties, total_wait):
-            nonlocal best_obj, best_payload, leaves
-            if tour_cost + total_wait >= best_obj:
-                return
-            if pos == m:
-                leaves += 1
-                best_obj = tour_cost + total_wait
-                best_payload = (mask, last, dict(assigned))
-                return
-            k = order[pos]
-            remaining = m - pos
-            for i in cand_nodes[k]:
-                here = trips_at[i]
-                cnt = len(here)
-                if cnt >= cap:
-                    continue
-                new_empties = empties - (1 if cnt == 0 else 0)
-                if new_empties > remaining - 1:
-                    continue
-                tk = trip[i][k]
-                old_wait = waits[i]
-                here.append(tk)
-                if cnt < u:
-                    # a drone per flight: the stop waits for its longest flight
-                    new_wait = old_wait if old_wait >= tk else tk
-                else:
-                    new_wait = minmax_packing(tuple(sorted(here, reverse=True)), u)[0]
-                waits[i] = new_wait
-                assigned[k] = i
-                dfs(pos + 1, new_empties, total_wait + new_wait - old_wait)
-                here.pop()
-                waits[i] = old_wait
-                del assigned[k]
-
-        dfs(0, empties, total_wait)
+        # each customer's stops in the subset, ascending; fewest choices first,
+        # ties by customer as the sort is stable
+        cands = [[i for i in sites if mask >> (i - 1) & 1] for sites in mats.v_serve]
+        order = sorted(range(m), key=lambda k: len(cands[k]))
+        dfs(0, size, 0.0)
 
     if best_payload is None:
         raise InfeasibleInstanceError("no feasible assignment exists at this fleet size")
 
-    tour_mask, last, assignment = best_payload
-    tour = _tour(dp, mats.t, tour_mask, last)
+    tour_mask, stops = best_payload
+    tour = _tour(dp, mats.t, tour_mask, close_last[tour_mask])
+    assignment = dict(enumerate(stops))
     drone_of = None
     if multi:
         drone_of = {}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 from array import array
 from concurrent.futures import ProcessPoolExecutor
@@ -143,7 +144,9 @@ def run(
             if shares[w] > 0
         ]
         best, done, failures, repeated = None, 0, 0, 0
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+        # cfg.threads fixes the streams; the pool needs no more workers than
+        # jobs or cores, and a fork pool starts every worker at once
+        with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
             for sol, d, f, r in pool.map(_worker, jobs):
                 done += d
                 failures += f

@@ -53,10 +53,12 @@ MULTI_TRIP_OPERATORS = (
 class DeltaCache:
     """Mutable search state with the caches needed for constant-time deltas.
 
-    Per visited node: the customers on each drone (``drones``), each
-    drone's load (``loads``), the largest load (``wait``), the
-    second-largest (``second``, counted with multiplicity, 0.0 with one
-    drone) and the smallest (``min_load``).
+    Per node, in lists indexed by node: its customers (``cust_at``), the
+    customers on each drone (``drones``), each drone's load (``loads``), the
+    largest load (``wait``), the second-largest (``second``, counted with
+    multiplicity, 0.0 with one drone) and the smallest (``min_load``). A node
+    outside the tour holds empty lists and 0.0, so a move onto it is costed
+    like a move onto a visited node.
     A node holds at most ``cap`` customers: u in single-trip mode, every
     customer in multi-trip mode. Unvisited nodes get a lazily cached best
     insertion position that is invalidated by any tour change.
@@ -74,52 +76,40 @@ class DeltaCache:
         self.trip = mats.trip
         self.reach = mats.reach
 
+        n = inst.n
         self.tour = list(sol.tour)
         self.assign = dict(sol.assign)
-        self.cust_at: dict[int, list[int]] = {i: [] for i in self.tour}
+        self.cust_at: list[list[int]] = [[] for _ in range(n)]
         for k in sorted(self.assign):
             self.cust_at[self.assign[k]].append(k)
         if sol.drone_of is None:
             # a single-trip start: each customer of a stop flies its own drone
-            self.drone_of = {k: l for custs in self.cust_at.values() for l, k in enumerate(custs)}
+            self.drone_of = {k: l for custs in self.cust_at for l, k in enumerate(custs)}
         else:
             self.drone_of = dict(sol.drone_of)
 
-        self.drones: dict[int, list[list[int]]] = {}
-        self.loads: dict[int, list[float]] = {}
-        self.wait: dict[int, float] = {}
-        self.second: dict[int, float] = {}
-        self.min_load: dict[int, float] = {}
+        self.drones = [[[] for _ in range(u)] for _ in range(n)]
+        self.loads = [[0.0] * u for _ in range(n)]
+        self.wait = [0.0] * n
+        self.second = [0.0] * n
+        self.min_load = [0.0] * n
         drone_of, trip = self.drone_of, self.trip
-        for i, custs in self.cust_at.items():
-            row = trip[i]
-            drones = self.drones[i] = [[] for _ in range(u)]
-            loads = self.loads[i] = [0.0] * u
-            for k in custs:  # ascending, from 0.0: the order of every later load sum
+        for i in self.tour:
+            row, drones, loads = trip[i], self.drones[i], self.loads[i]
+            for k in self.cust_at[i]:  # ascending, from 0.0: the order of every later load sum
                 l = drone_of[k]
                 drones[l].append(k)
                 loads[l] += row[k]
             self._refresh_node(i)
-        self.travel_time = self._legs_sum(self.tour)
         self._position: dict[int, int] = {}
-        self._tour_version = 0
-        self._ins_cache: dict[int, tuple[int, float, int]] = {}
+        self._ins_cache: dict[int, tuple[float, int]] = {}
         self._bump_tour()
 
     # --- bookkeeping ---------------------------------------------------------
 
-    def _legs_sum(self, tour) -> float:
-        t = self.t
-        total = 0.0
-        prev = tour[0]
-        for i in tour[1:]:
-            total += t[prev][i]
-            prev = i
-        return total + t[prev][0]
-
     def _bump_tour(self):
-        self._tour_version += 1
         self._position = {node: idx for idx, node in enumerate(self.tour)}
+        self._ins_cache.clear()
 
     def _refresh_node(self, i):
         """Re-rank node ``i``'s drone loads after some of them changed."""
@@ -135,8 +125,8 @@ class DeltaCache:
     def best_insertion(self, j) -> tuple[float, int]:
         """Cheapest position to splice unvisited node ``j`` into the tour."""
         hit = self._ins_cache.get(j)
-        if hit is not None and hit[0] == self._tour_version:
-            return hit[1], hit[2]
+        if hit is not None:
+            return hit
         t = self.t
         tour = self.tour
         best_cost, best_pos = float("inf"), 1
@@ -147,7 +137,7 @@ class DeltaCache:
             if cost < best_cost - 1e-15:
                 best_cost, best_pos = cost, a + 1
         best_cost = max(best_cost, 0.0)
-        self._ins_cache[j] = (self._tour_version, best_cost, best_pos)
+        self._ins_cache[j] = best_cost, best_pos
         return best_cost, best_pos
 
     def _accept(self, name, delta):
@@ -156,20 +146,6 @@ class DeltaCache:
             self.on_move(name, delta)
 
     # --- shared node mutations -------------------------------------------------
-
-    def _insert_node(self, j, pos):
-        self.tour.insert(pos, j)
-        self.cust_at[j] = []
-        self.drones[j] = [[] for _ in range(self.u)]
-        self.loads[j] = [0.0] * self.u
-        self.wait[j] = self.second[j] = self.min_load[j] = 0.0
-        self._bump_tour()
-
-    def _drop_node(self, i):
-        self.tour.remove(i)
-        del self.cust_at[i], self.drones[i], self.loads[i], self.wait[i]
-        del self.second[i], self.min_load[i]
-        self._bump_tour()
 
     def _remove_node_tour_delta(self, i) -> float:
         pos = self._position[i]
@@ -243,7 +219,6 @@ class DeltaCache:
                 delta = gain + t[c][x] + t[x][nx] - t[c][nx]
                 if delta < -IMPROVE_EPS:
                     self.tour = rest[:b] + [x] + rest[b:]
-                    self.travel_time += delta
                     self._bump_tour()
                     self._accept("relocate_truck_node", delta)
                     return True
@@ -271,7 +246,6 @@ class DeltaCache:
                     )
                 if delta < -IMPROVE_EPS:
                     tour[a], tour[b] = y, x
-                    self.travel_time += delta
                     self._bump_tour()
                     self._accept("swap_truck_node", delta)
                     return True
@@ -292,7 +266,6 @@ class DeltaCache:
                 delta = t[A][B] + t[A1][B1] - base - t[B][B1]
                 if delta < -IMPROVE_EPS:
                     tour[a + 1:b + 1] = reversed(tour[a + 1:b + 1])
-                    self.travel_time += delta
                     self._bump_tour()
                     self._accept("two_opt", delta)
                     return True
@@ -386,32 +359,20 @@ class DeltaCache:
                 if rem >= -IMPROVE_EPS:
                     continue  # the target node's wait and the tour can only grow
             for j in serve[k]:
-                if j == i:
+                if j == i or len(cust_at[j]) >= cap:
                     continue
-                here = cust_at.get(j)
-                if here is not None:
-                    if len(here) >= cap:
+                grow = min_load[j] + trip[j][k] - wait[j]
+                add = grow if grow > 0.0 else 0.0
+                delta = rem + add + rem_tour
+                if delta >= -IMPROVE_EPS:
+                    continue  # the whole change onto a visited j; an insertion only adds
+                if j not in self._position:
+                    delta = rem + add + self._insertion_tour_delta(j, i, drop)
+                    if delta >= -IMPROVE_EPS:
                         continue
-                    grow = min_load[j] + trip[j][k] - wait[j]
-                    add = grow if grow > 0.0 else 0.0
-                    delta = rem + add + rem_tour
-                    if delta < -IMPROVE_EPS:
-                        self._apply_re_assignment(i, j, (k,), True, drop, rem_tour)
-                        self._accept("re_assignment1", delta)
-                        return True
-                else:
-                    if rem + trip[j][k] + rem_tour >= -IMPROVE_EPS:
-                        continue  # the insertion adds to the tour change of the drop
-                    ins_cost, ins_pos = self.best_insertion(j)
-                    if drop:
-                        tour_delta = self._composite_tour_delta(j, ins_pos, i)
-                    else:
-                        tour_delta = ins_cost
-                    delta = rem + trip[j][k] + tour_delta
-                    if delta < -IMPROVE_EPS:
-                        self._apply_re_assignment(i, j, (k,), False, drop, tour_delta)
-                        self._accept("re_assignment1", delta)
-                        return True
+                self._apply_re_assignment(i, j, (k,))
+                self._accept("re_assignment1", delta)
+                return True
         return False
 
     def re_assignment2(self) -> bool:
@@ -446,52 +407,53 @@ class DeltaCache:
                             continue
                         tj1 = trip[j][k1]
                         tj2 = trip[j][k2]
-                        visited = j in cust_at
-                        if visited:
-                            # growth is at least the bigger trip on the idlest drone
-                            lb = self.min_load[j] + (tj1 if tj1 > tj2 else tj2) - wait[j]
-                        else:
-                            lb = tj1 if tj1 > tj2 else tj2
+                        # growth is at least the bigger trip on the idlest drone
+                        lb = self.min_load[j] + (tj1 if tj1 > tj2 else tj2) - wait[j]
                         if lb < 0.0:
                             lb = 0.0
                         # the tour change is never below rem_tour
                         if rem + lb + rem_tour >= -IMPROVE_EPS:
                             continue
-                        loads = list(self.loads[j]) if visited else [0.0] * self.u
-                        before = wait[j] if visited else 0.0
+                        loads = list(self.loads[j])
                         l = loads.index(min(loads))
                         loads[l] += tj1
                         l = loads.index(min(loads))
                         loads[l] += tj2
-                        grow = max(loads) - before
+                        grow = max(loads) - wait[j]
                         add = grow if grow > 0.0 else 0.0
-                        if visited:
+                        if j in self._position:
                             tour_delta = rem_tour
-                        elif drop:
-                            _, ins_pos = self.best_insertion(j)
-                            tour_delta = self._composite_tour_delta(j, ins_pos, i)
                         else:
-                            tour_delta = self.best_insertion(j)[0]
+                            tour_delta = self._insertion_tour_delta(j, i, drop)
                         delta = rem + add + tour_delta
                         if delta < -IMPROVE_EPS:
-                            self._apply_re_assignment(i, j, (k1, k2), visited, drop, tour_delta)
+                            self._apply_re_assignment(i, j, (k1, k2))
                             self._accept("re_assignment2", delta)
                             return True
         return False
 
-    def _apply_re_assignment(self, i, j, ks, visited, drop, tour_delta):
-        if not visited:
-            _, pos = self.best_insertion(j)
-            self._insert_node(j, pos)
+    def _insertion_tour_delta(self, j, i, drop) -> float:
+        """Travel change from splicing unvisited ``j`` into the tour, and
+        dropping ``i`` when ``drop``."""
+        ins_cost, ins_pos = self.best_insertion(j)
+        return self._composite_tour_delta(j, ins_pos, i) if drop else ins_cost
+
+    def _apply_re_assignment(self, i, j, ks):
+        """Move customers ``ks`` from stop ``i`` to node ``j``, splicing ``j``
+        in at its best insertion and dropping ``i`` once it is empty."""
         for k in ks:
             self._remove_customer(k)
             self._add_customer(k, j, self._idlest(j))
             self._refresh_node(j)
-        if drop:
-            self._drop_node(i)
-        else:
-            self._refresh_node(i)
-        self.travel_time += tour_delta
+        self._refresh_node(i)
+        spliced = j not in self._position
+        if spliced:
+            self.tour.insert(self.best_insertion(j)[1], j)
+        if not self.cust_at[i]:
+            self.tour.remove(i)
+        elif not spliced:
+            return  # the tour is unchanged
+        self._bump_tour()
 
     # --- multi-trip drone operators -----------------------------------------------
     #

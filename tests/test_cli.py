@@ -269,10 +269,12 @@ def test_out_of_range_values_are_usage_errors(tiny_instance, tmp_path, capsys):
     out = tmp_path / "out"
     _assert_usage_error(capsys, "compare-tsp", coincident, "--fleet", 0, "--iters", 5, "--out", out)
     _assert_usage_error(capsys, "compare-tsp", coincident, "--speeds", 30, "--iters", 5, "--out", out)
+    _assert_usage_error(capsys, "compare-tsp", coincident, "--speeds", "40,inf", "--iters", 5, "--out", out)
     _assert_usage_error(
         capsys, "bench", tiny_instance, "--u-offsets", -5, "--iters", 5, "--skip-exact", "--out", out
     )
     _assert_usage_error(capsys, "bench", tiny_instance, "--speeds", 30, "--iters", 5, "--out", out)
+    _assert_usage_error(capsys, "bench", tiny_instance, "--speeds", "inf", "--iters", 5, "--out", out)
     _assert_usage_error(capsys, "gen", "--d", 10, "--n", 5, "--coincident", "--truck-speed", 50, "--out", out)
     _assert_usage_error(capsys, "gen", "--d", 0, "--n", 5, "--out", out)
     _assert_usage_error(capsys, "gen", "--d", 10, "--n", 0, "--out", out)

@@ -121,6 +121,40 @@ def test_parallel_merge_is_min_of_worker_runs():
     assert report.iterations == 30
 
 
+def test_pool_has_no_more_workers_than_jobs_or_cores(monkeypatch):
+    # a fork pool starts every worker at its first submit; this stand-in
+    # records the pool size and runs the jobs in this process
+    sizes = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(grasp, "ProcessPoolExecutor", InlineExecutor)
+    inst = random_instance(np.random.default_rng(5), u_lo=2, u_hi=2)
+    cfg = GraspConfig(variant=Variant.MULTI, n_max=10, seed=11, threads=1000)
+    for cores, workers in ((4, 4), (64, 10), (None, 1)):
+        monkeypatch.setattr(grasp.os, "cpu_count", lambda: cores)
+        _, report = run(inst, cfg)
+        assert sizes[-1] == workers
+        assert report.iterations == 10
+    # the streams still follow cfg.threads: ten one-iteration workers
+    singles = [
+        run(inst, GraspConfig(variant=Variant.MULTI, n_max=1, seed=worker_seed(11, w)))[1].objective
+        for w in range(10)
+    ]
+    assert report.objective == min(singles)
+
+
 def _tiny_at_u_min(seed, n_truck=4, m_customers=6):
     inst = generate(GenConfig(d=20, n_truck=n_truck, m_customers=m_customers, seed=seed))
     return inst.replaced(num_drones=compute_u_min(inst, build_time_matrices(inst)))

@@ -73,7 +73,7 @@ def test_single_trip_stays_coherent_with_zero_trips():
             nonlocal checked, shared
             assert coherence_errors(cache) == [], name
             checked += 1
-            shared += any(len(dr) > 1 for drones in cache.drones.values() for dr in drones)
+            shared += any(len(dr) > 1 for drones in cache.drones for dr in drones)
 
         cache.on_move = hook
         cache.run()
@@ -107,7 +107,8 @@ def test_truck_operators_reach_permutation_optimum():
             sum(t[a][b] for a, b in zip((0,) + perm, perm + (0,)))
             for perm in itertools.permutations((1, 2, 3))
         )
-        assert cache.travel_time == pytest.approx(best, abs=1e-9)
+        travel = evaluate(cache.export_solution(), inst, mats).travel_time
+        assert travel == pytest.approx(best, abs=1e-9)
 
 
 def test_truck_operators_keep_assignments():
