@@ -13,6 +13,10 @@ the solutions happen to match. It hashes the ``local_search`` result of each
 constructed solution separately, because many runs find their best solution
 early and would hide a changed search path.
 
+The approximate TSP case hashes ``solve_tsp``'s tours over coincident
+instances of 17 to 60 nodes, past the exact limit, so a rewrite of the tour
+moves must keep their scan order and arithmetic.
+
 An exact case hashes ``solve_exact``'s solutions and search counts on one
 generated instance, in both variants at the minimum fleet and one drone
 more, so a rewrite of the enumeration must keep its optimum, its tie-breaks
@@ -43,6 +47,7 @@ from twoecho import (
     local_search,
     run,
     solve_exact,
+    solve_tsp,
 )
 
 S, M = Variant.SINGLE, Variant.MULTI
@@ -164,6 +169,16 @@ def exact_fingerprint(n, m, seed):
     return _digest(parts)
 
 
+def approximate_tsp_fingerprint():
+    parts = []
+    for n in (17, 20, 25, 30, 40, 60):
+        for seed in range(4):
+            inst = generate_coincident(d=30.0, n_total=n, seed=seed)
+            r = solve_tsp(inst.truck_nodes, inst.truck_speed)
+            parts.append(repr((r.tour, r.objective, r.exact)))
+    return _digest(parts)
+
+
 def _case_id(case):
     name, variant, seed, size = case
     return f"{name}-{variant.value}-{seed}-{size}"
@@ -182,6 +197,10 @@ def test_single_threaded_run_frozen(case):
 @pytest.mark.parametrize("case", list(EXACT_CASES), ids=lambda c: "n{}-m{}-s{}".format(*c))
 def test_exact_solutions_frozen(case):
     assert exact_fingerprint(*case) == EXACT_CASES[case]
+
+
+def test_approximate_tsp_frozen():
+    assert approximate_tsp_fingerprint() == "44d13e4de3a9687e"
 
 
 def test_frozen_cases_include_construction_failures():
