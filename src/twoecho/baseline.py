@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .exact import _closing, _held_karp, _popcount_layers, _tour
+from .localsearch import relocate_segment, two_opt_move
 from .model import Instance, Point, RunReport, Variant, manhattan, euclidean
 
 EXACT_TSP_LIMIT = 16
@@ -37,38 +38,6 @@ def _nearest_neighbor(t) -> list[int]:
     return tour
 
 
-def _two_opt_pass(tour, t) -> bool:
-    n = len(tour)
-    for a in range(n - 1):
-        A, A1 = tour[a], tour[a + 1]
-        for b in range(a + 2, n):
-            B = tour[b]
-            B1 = tour[(b + 1) % n]
-            delta = t[A][B] + t[A1][B1] - t[A][A1] - t[B][B1]
-            if delta < -1e-12:
-                tour[a + 1 : b + 1] = reversed(tour[a + 1 : b + 1])
-                return True
-    return False
-
-
-def _or_opt_pass(tour, t) -> bool:
-    n = len(tour)
-    for seg in (1, 2, 3):
-        for a in range(1, n - seg + 1):
-            chunk = tour[a : a + seg]
-            rest = tour[:a] + tour[a + seg :]
-            p, q = tour[a - 1], tour[(a + seg) % n]
-            gain = t[p][q] - t[p][chunk[0]] - t[chunk[-1]][q]
-            for b in range(1, len(rest) + 1):
-                c = rest[b - 1]
-                d = rest[b % len(rest)]
-                delta = gain + t[c][chunk[0]] + t[chunk[-1]][d] - t[c][d]
-                if delta < -1e-12:
-                    tour[:] = rest[:b] + chunk + rest[b:]
-                    return True
-    return False
-
-
 def solve_tsp(points, speed: float) -> TspResult:
     """Closed Manhattan tour over all points starting at index 0, in hours.
 
@@ -89,7 +58,9 @@ def solve_tsp(points, speed: float) -> TspResult:
         cost, last = _closing(dp, t, [full])
         return TspResult(tuple(_tour(dp, t, full, int(last[0]))), float(cost[0]), True)
     tour = _nearest_neighbor(t)
-    while _two_opt_pass(tour, t) or _or_opt_pass(tour, t):
+    while two_opt_move(tour, t, 1e-12) or any(
+        relocate_segment(tour, t, seg, 1e-12) for seg in (1, 2, 3)
+    ):
         pass
     return TspResult(tuple(tour), _tour_length(tour, t), False)
 

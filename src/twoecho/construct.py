@@ -55,7 +55,6 @@ class ConstructionState:
         self.cap = u if variant is Variant.SINGLE else m
         self.tour = [0]
         self.visited = [True] + [False] * (n - 1)
-        self.wait = [0.0] * n
         # customers per node; loads cannot count them, as a customer at the
         # node itself flies a 0.0 h trip
         self.count = [0] * n
@@ -65,7 +64,6 @@ class ConstructionState:
         self.pending = list(range(m))
         self.unserved = [True] * m
         self.step_pos = [0] * n
-        self.step_ic = [0.0] * n
         self.tour_dirty = True
         # per customer: the weight of every node and their running sums,
         # None once a weight changed; and how many nodes may still serve it,
@@ -135,7 +133,6 @@ class ConstructionState:
             a = bisect_left(cum, cum[-1] * (1.0 - r))
             ic = costs[a]
             self.step_pos[j] = a + 1
-            self.step_ic[j] = ic
             trips = trip[j]
             for k in w_sets[j]:
                 if unserved[k]:
@@ -154,9 +151,9 @@ class ConstructionState:
                     cums[k] = None
                     self._sites[k] -= 1
             return
-        base = min(self.loads[i])
+        loads = self.loads[i]
+        base, wait = min(loads), max(loads)
         trips = self.mats.trip[i]
-        wait = self.wait[i]
         for k in self.mats.w_sets[i]:
             if unserved[k]:
                 c = base + trips[k] - wait
@@ -192,7 +189,6 @@ class ConstructionState:
         loads = self.loads[i]
         l = loads.index(min(loads))
         loads[l] += self.mats.trip[i][k]
-        self.wait[i] = max(self.wait[i], loads[l])
         self.drone_of[k] = l
         self.count[i] += 1
         self.assign[k] = i

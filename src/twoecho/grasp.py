@@ -48,6 +48,8 @@ class GraspConfig:
             raise ValueError("n_max must be at least 1")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
+        if self.time_limit is not None and not self.time_limit > 0:  # NaN too
+            raise ValueError(f"time_limit must be positive, got {self.time_limit}")
 
 
 def worker_seed(master_seed: int, worker: int) -> int:
@@ -130,9 +132,7 @@ def run(
     start = time.perf_counter()
 
     if cfg.threads == 1:
-        best, done, failures, repeated = _run_stream(
-            inst, mats, cfg.variant, cfg.n_max, cfg.seed, cfg.time_limit, on_move
-        )
+        streams = [_run_stream(inst, mats, cfg.variant, cfg.n_max, cfg.seed, cfg.time_limit, on_move)]
     else:
         shares = [
             cfg.n_max // cfg.threads + (1 if w < cfg.n_max % cfg.threads else 0)
@@ -143,21 +143,23 @@ def run(
             for w in range(cfg.threads)
             if shares[w] > 0
         ]
-        best, done, failures, repeated = None, 0, 0, 0
         # cfg.threads fixes the streams; the pool needs no more workers than
         # jobs or cores, and a fork pool starts every worker at once
         with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
-            for sol, d, f, r in pool.map(_worker, jobs):
-                done += d
-                failures += f
-                repeated += r
-                if sol is None:
-                    continue
-                if best is None or (sol.objective, sol.canonical_json()) < (
-                    best.objective,
-                    best.canonical_json(),
-                ):
-                    best = sol
+            streams = list(pool.map(_worker, jobs))
+
+    best, done, failures, repeated = None, 0, 0, 0
+    for sol, d, f, r in streams:
+        done += d
+        failures += f
+        repeated += r
+        if sol is None:
+            continue
+        if best is None or (sol.objective, sol.canonical_json()) < (
+            best.objective,
+            best.canonical_json(),
+        ):
+            best = sol
 
     if best is None:
         raise NoSolutionError(failures)

@@ -50,6 +50,47 @@ MULTI_TRIP_OPERATORS = (
 )
 
 
+# Truck-tour moves, shared with the truck-only baseline. ``tour[0]`` is the
+# depot and stays first. Each makes the first move that shortens the closed
+# tour by more than ``eps``, in place, and returns its (negative) change or None.
+
+
+def relocate_segment(tour, t, seg, eps) -> float | None:
+    """Move a segment of ``seg`` consecutive nodes to another tour position."""
+    n = len(tour)
+    for a in range(1, n - seg + 1):
+        chunk = tour[a:a + seg]
+        first, t_last = chunk[0], t[chunk[-1]]
+        rest = tour[:a] + tour[a + seg:]
+        p, q = tour[a - 1], tour[(a + seg) % n]
+        gain = t[p][q] - t[p][first] - t_last[q]
+        r = len(rest)
+        t_c = t[rest[0]]  # the row of rest[b - 1]
+        for b in range(1, r + 1):
+            d = rest[b] if b < r else rest[0]
+            delta = gain + t_c[first] + t_last[d] - t_c[d]
+            if delta < -eps:
+                tour[:] = rest[:b] + chunk + rest[b:]
+                return delta
+            t_c = t[d]
+    return None
+
+
+def two_opt_move(tour, t, eps) -> float | None:
+    """Remove two tour edges and reconnect with the segment between them reversed."""
+    n = len(tour)
+    for a in range(n - 1):
+        A, A1 = tour[a], tour[a + 1]
+        base = t[A][A1]
+        for b in range(a + 2, n):
+            B, B1 = tour[b], tour[(b + 1) % n]
+            delta = t[A][B] + t[A1][B1] - base - t[B][B1]
+            if delta < -eps:
+                tour[a + 1:b + 1] = reversed(tour[a + 1:b + 1])
+                return delta
+    return None
+
+
 class DeltaCache:
     """Mutable search state with the caches needed for constant-time deltas.
 
@@ -200,29 +241,19 @@ class DeltaCache:
 
     # --- truck-tour operators ----------------------------------------------------
 
+    def _tour_moved(self, name, delta) -> bool:
+        """Record a tour move that returned ``delta``, or nothing for None."""
+        if delta is None:
+            return False
+        self._bump_tour()
+        self._accept(name, delta)
+        return True
+
     def relocate_truck_node(self) -> bool:
         """Move one visited node to a different tour position."""
-        t = self.t
-        tour = self.tour
-        L = len(tour)
-        if L < 3:
-            return False
-        for a in range(1, L):
-            x = tour[a]
-            p = tour[a - 1]
-            q = tour[a + 1] if a + 1 < L else 0
-            gain = t[p][q] - t[p][x] - t[x][q]
-            rest = tour[:a] + tour[a + 1:]
-            for b in range(1, len(rest) + 1):
-                c = rest[b - 1]
-                nx = rest[b] if b < len(rest) else 0
-                delta = gain + t[c][x] + t[x][nx] - t[c][nx]
-                if delta < -IMPROVE_EPS:
-                    self.tour = rest[:b] + [x] + rest[b:]
-                    self._bump_tour()
-                    self._accept("relocate_truck_node", delta)
-                    return True
-        return False
+        return self._tour_moved(
+            "relocate_truck_node", relocate_segment(self.tour, self.t, 1, IMPROVE_EPS)
+        )
 
     def swap_truck_node(self) -> bool:
         """Exchange the tour positions of two visited nodes."""
@@ -246,30 +277,12 @@ class DeltaCache:
                     )
                 if delta < -IMPROVE_EPS:
                     tour[a], tour[b] = y, x
-                    self._bump_tour()
-                    self._accept("swap_truck_node", delta)
-                    return True
+                    return self._tour_moved("swap_truck_node", delta)
         return False
 
     def two_opt(self) -> bool:
         """Remove two tour edges and reconnect with the segment reversed."""
-        t = self.t
-        tour = self.tour
-        L = len(tour)
-        for a in range(L - 1):
-            A = tour[a]
-            A1 = tour[a + 1]
-            base = t[A][A1]
-            for b in range(a + 2, L):
-                B = tour[b]
-                B1 = tour[b + 1] if b + 1 < L else 0
-                delta = t[A][B] + t[A1][B1] - base - t[B][B1]
-                if delta < -IMPROVE_EPS:
-                    tour[a + 1:b + 1] = reversed(tour[a + 1:b + 1])
-                    self._bump_tour()
-                    self._accept("two_opt", delta)
-                    return True
-        return False
+        return self._tour_moved("two_opt", two_opt_move(self.tour, self.t, IMPROVE_EPS))
 
     # --- customer re-assignment (both variants) -----------------------------------
 

@@ -311,12 +311,13 @@ def assignment_cost(k, i, state, variant):
     from twoecho import Variant
 
     trip = state.mats.trip[i][k]
+    wait = max(state.loads[i])
     if variant is Variant.SINGLE:
-        delta = max(trip - state.wait[i], 0.0)
+        delta = max(trip - wait, 0.0)
     else:
-        delta = max(min(state.loads[i]) + trip - state.wait[i], 0.0)
+        delta = max(min(state.loads[i]) + trip - wait, 0.0)
     if not state.visited[i]:
-        delta += state.step_ic[i]
+        delta += state._arc_cost[i][state.step_pos[i] - 1]
     return delta
 
 

@@ -147,7 +147,7 @@ def test_assignment_cost_unvisited_adds_insertion():
     state = ConstructionState(inst, build_time_matrices(inst), Variant.SINGLE)
     state.draw(np.random.default_rng(0))
     # a 0.6 h round trip plus 0.5 h of truck detour out to (10,0) and back
-    assert state.step_ic[1] == pytest.approx(0.5)
+    assert state._arc_cost[1][state.step_pos[1] - 1] == pytest.approx(0.5)
     _assert_cost(state, Variant.SINGLE, 0, 1, 1.1)
 
 

@@ -102,6 +102,13 @@ def test_time_limit_stops_early():
     assert 0 < report.iterations < 10**6
 
 
+@pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])
+def test_time_limit_must_be_positive(limit):
+    # zero or negative would run no iteration and NaN would never stop a run
+    with pytest.raises(ValueError, match="time_limit must be positive"):
+        GraspConfig(variant=Variant.MULTI, time_limit=limit)
+
+
 def test_parallel_merge_is_min_of_worker_runs():
     rng = np.random.default_rng(5)
     inst = random_instance(rng, u_lo=2, u_hi=2)
