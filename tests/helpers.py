@@ -17,6 +17,7 @@ from twoecho import (
     evaluate,
     generate,
 )
+from twoecho.localsearch import SINGLE_TRIP_OPERATORS
 
 
 def make_instance(
@@ -90,10 +91,22 @@ def random_feasible_solution(inst, mats, variant, rng, max_tries=50):
     return None
 
 
-def dense_drone_instance(rng, m=10, num_drones=3, d=20.0):
-    """One serving node only: every customer lands there, stressing drone moves."""
-    cfg = GenConfig(d=d, n_truck=2, m_customers=m, seed=int(rng.integers(2**63)))
-    return generate(cfg).replaced(num_drones=num_drones)
+def operator_instance(op_name, variant, rng, rounds):
+    """An instance on which local-search operator ``op_name`` finds moves.
+
+    The drone-heavy multi-trip operators get one serving node that every
+    customer lands on, or every third round three or four nodes with many
+    customers; every other operator gets a spread random instance.
+    """
+    drone_heavy = op_name not in SINGLE_TRIP_OPERATORS or op_name == "re_assignment2"
+    if variant is not Variant.MULTI or not drone_heavy:
+        return random_instance(rng, n_lo=5, n_hi=8, m_lo=6, m_hi=10, u_lo=2, u_hi=3)
+    m = int(rng.integers(8, 13))
+    cfg = GenConfig(d=20.0, n_truck=2, m_customers=m, seed=int(rng.integers(2**63)))
+    inst = generate(cfg).replaced(num_drones=3)
+    if rounds % 3 == 0:
+        inst = random_instance(rng, n_lo=3, n_hi=4, m_lo=8, m_hi=11, u_lo=3, u_hi=3)
+    return inst
 
 
 def mats_for(inst):

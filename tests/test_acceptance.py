@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import dense_drone_instance, random_feasible_solution, random_instance
+from helpers import operator_instance, random_feasible_solution, random_instance
 from oracles import (
     brute_force_optimum,
     brute_u_min,
@@ -95,15 +95,9 @@ def _harvest_operator(op_name, variant, rng, target=1000, max_rounds=4000):
     """Collect accepted moves for one operator, checking each delta exactly."""
     checked = 0
     rounds = 0
-    drone_heavy = op_name not in SINGLE_TRIP_OPERATORS or op_name == "re_assignment2"
     while checked < target and rounds < max_rounds:
         rounds += 1
-        if variant is Variant.MULTI and drone_heavy:
-            inst = dense_drone_instance(rng, m=int(rng.integers(8, 13)), num_drones=3)
-            if rounds % 3 == 0:
-                inst = random_instance(rng, n_lo=3, n_hi=4, m_lo=8, m_hi=11, u_lo=3, u_hi=3)
-        else:
-            inst = random_instance(rng, n_lo=5, n_hi=8, m_lo=6, m_hi=10, u_lo=2, u_hi=3)
+        inst = operator_instance(op_name, variant, rng, rounds)
         mats = build_time_matrices(inst)
         sol = random_feasible_solution(inst, mats, variant, rng)
         if sol is None:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import make_instance, random_feasible_solution, random_instance
+from helpers import make_instance, operator_instance, random_feasible_solution, random_instance
 from oracles import brute_pack_makespan, coherence_errors
 from twoecho import (
     DeltaCache,
@@ -78,6 +78,38 @@ def test_single_trip_stays_coherent_with_zero_trips():
         cache.on_move = hook
         cache.run()
     assert checked > 40 and shared > 0
+
+
+def test_every_operator_keeps_the_caches_coherent_after_each_move():
+    # every cache must equal a from-scratch recomputation after each accepted
+    # move, and each move that an operator reports must reach the hook once
+    rng = np.random.default_rng(23)
+    for variant, names in (
+        (Variant.SINGLE, SINGLE_TRIP_OPERATORS),
+        (Variant.MULTI, MULTI_TRIP_OPERATORS),
+    ):
+        for name in names:
+            hooked = accepted = rounds = 0
+            while accepted < 20:
+                rounds += 1
+                assert rounds <= 500, (variant, name, accepted)
+                inst = operator_instance(name, variant, rng, rounds)
+                mats = build_time_matrices(inst)
+                sol = random_feasible_solution(inst, mats, variant, rng)
+                if sol is None:
+                    continue
+                cache = DeltaCache(sol, inst, mats)
+
+                def hook(op, delta):
+                    nonlocal hooked
+                    assert op == name
+                    assert coherence_errors(cache) == [], (variant, name)
+                    hooked += 1
+
+                cache.on_move = hook
+                while getattr(cache, name)():
+                    accepted += 1
+                assert hooked == accepted, (variant, name)
 
 
 def test_truck_operators_reach_permutation_optimum():
