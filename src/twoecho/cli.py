@@ -309,6 +309,10 @@ def _cmd_compare_tsp(args) -> int:
         baseline.check_coincident(inst)
     except ValueError as err:
         raise UsageError(f"compare-tsp needs a coincident instance: {err}") from None
+    if len(set(inst.truck_nodes)) < 2:
+        raise UsageError(
+            "compare-tsp needs truck nodes at two or more points: the truck-only tour has zero length"
+        )
     for u in args.fleet:
         _at_least_one("--fleet", u)
     _check_speeds(args.speeds, inst.truck_speed)

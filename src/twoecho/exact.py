@@ -562,6 +562,8 @@ def import_milp_solution(
             succ[i] = j
         elif prefix == "z":
             *lane, i, k = index
+            if k in assign:
+                raise MilpParseError(f"customer {k} has two assignment variables set")
             assign[k] = i
             if lane:
                 drone_of[k] = lane[0]

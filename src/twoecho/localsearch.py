@@ -195,24 +195,35 @@ class DeltaCache:
         t = self.t
         return t[p][q] - t[p][i] - t[i][q]
 
-    def _remove_customer(self, k):
-        """Take ``k`` off its node and drone; the node's ranks wait for a refresh."""
-        i = self.assign.pop(k)
-        self.cust_at[i].remove(k)
-        l = self.drone_of.pop(k)
-        mine = self.drones[i][l]
+    def _move(self, k, i, l):
+        """Put customer ``k`` on drone ``l`` of node ``i`` and return its old
+        node. Both drones' loads are re-summed in customer order; the nodes'
+        ranks wait for ``_refresh_node``."""
+        h, g, trip = self.assign[k], self.drone_of[k], self.trip
+        mine = self.drones[h][g]
         mine.remove(k)
-        self.loads[i][l] = sum(map(self.trip[i].__getitem__, mine), 0.0)
-        return i
-
-    def _add_customer(self, k, i, l):
-        """Put ``k`` on drone ``l`` of node ``i``; the node's ranks wait for a refresh."""
-        self.assign[k] = i
-        insort(self.cust_at[i], k)
+        self.loads[h][g] = sum(map(trip[h].__getitem__, mine), 0.0)
+        if h != i:
+            self.cust_at[h].remove(k)
+            insort(self.cust_at[i], k)
+            self.assign[k] = i
         self.drone_of[k] = l
         mine = self.drones[i][l]
         insort(mine, k)
-        self.loads[i][l] = sum(map(self.trip[i].__getitem__, mine), 0.0)
+        self.loads[i][l] = sum(map(trip[i].__getitem__, mine), 0.0)
+        return h
+
+    def _commit(self, name, delta, moves) -> bool:
+        """Make ``moves``, each (customer, node, drone), in order, re-rank
+        every node they touch and count the move."""
+        touched = set()
+        for k, i, l in moves:
+            touched.add(self._move(k, i, l))
+            touched.add(i)
+        for i in touched:
+            self._refresh_node(i)
+        self._accept(name, delta)
+        return True
 
     def _leave_delta(self, i, k) -> float:
         """Wait change at node ``i`` when customer ``k`` leaves and the others stay.
@@ -322,14 +333,7 @@ class DeltaCache:
                 d2, l2 = self._replace_delta(i2, k2, k1)
                 delta = d1 + d2
                 if delta < -IMPROVE_EPS:
-                    self._remove_customer(k1)
-                    self._remove_customer(k2)
-                    self._add_customer(k2, i1, l1)
-                    self._add_customer(k1, i2, l2)
-                    self._refresh_node(i1)
-                    self._refresh_node(i2)
-                    self._accept("swap_assignment1", delta)
-                    return True
+                    return self._commit("swap_assignment1", delta, ((k2, i1, l1), (k1, i2, l2)))
         return False
 
     def _composite_tour_delta(self, insert_j, ins_pos, drop_i) -> float:
@@ -383,9 +387,7 @@ class DeltaCache:
                     delta = rem + add + self._insertion_tour_delta(j, i, drop)
                     if delta >= -IMPROVE_EPS:
                         continue
-                self._apply_re_assignment(i, j, (k,))
-                self._accept("re_assignment1", delta)
-                return True
+                return self._apply_re_assignment("re_assignment1", delta, i, j, (k,))
         return False
 
     def re_assignment2(self) -> bool:
@@ -440,9 +442,8 @@ class DeltaCache:
                             tour_delta = self._insertion_tour_delta(j, i, drop)
                         delta = rem + add + tour_delta
                         if delta < -IMPROVE_EPS:
-                            self._apply_re_assignment(i, j, (k1, k2))
-                            self._accept("re_assignment2", delta)
-                            return True
+                            ks = (k1, k2)
+                            return self._apply_re_assignment("re_assignment2", delta, i, j, ks)
         return False
 
     def _insertion_tour_delta(self, j, i, drop) -> float:
@@ -451,22 +452,24 @@ class DeltaCache:
         ins_cost, ins_pos = self.best_insertion(j)
         return self._composite_tour_delta(j, ins_pos, i) if drop else ins_cost
 
-    def _apply_re_assignment(self, i, j, ks):
-        """Move customers ``ks`` from stop ``i`` to node ``j``, splicing ``j``
-        in at its best insertion and dropping ``i`` once it is empty."""
+    def _apply_re_assignment(self, name, delta, i, j, ks) -> bool:
+        """Move customers ``ks`` from stop ``i`` to node ``j``, each onto its
+        idlest drone, splicing ``j`` in at its best insertion and dropping
+        ``i`` once it is empty; then count the move."""
         for k in ks:
-            self._remove_customer(k)
-            self._add_customer(k, j, self._idlest(j))
+            self._move(k, j, self._idlest(j))
             self._refresh_node(j)
         self._refresh_node(i)
         spliced = j not in self._position
         if spliced:
             self.tour.insert(self.best_insertion(j)[1], j)
-        if not self.cust_at[i]:
+        dropped = not self.cust_at[i]
+        if dropped:
             self.tour.remove(i)
-        elif not spliced:
-            return  # the tour is unchanged
-        self._bump_tour()
+        if spliced or dropped:
+            self._bump_tour()
+        self._accept(name, delta)
+        return True
 
     # --- multi-trip drone operators -----------------------------------------------
     #
@@ -479,25 +482,6 @@ class DeltaCache:
         for l, dv in changes:
             loads[l] += dv
         return max(loads) - self.wait[i]
-
-    def _move_drones(self, i, moves):
-        """Each move is (customer, new_drone) within node ``i``."""
-        drones = self.drones[i]
-        touched = set()
-        for k, l in moves:
-            old = self.drone_of[k]
-            drones[old].remove(k)
-            insort(drones[l], k)
-            self.drone_of[k] = l
-            touched.update((old, l))
-        row, loads = self.trip[i], self.loads[i]
-        for l in touched:
-            loads[l] = sum(map(row.__getitem__, drones[l]), 0.0)
-        self._refresh_node(i)
-
-    def _apply_drone_moves(self, i, moves, name, delta):
-        self._move_drones(i, moves)
-        self._accept(name, delta)
 
     def relocate_drone_assignment1(self) -> bool:
         """Hand one customer to a different drone at the same stop."""
@@ -513,8 +497,7 @@ class DeltaCache:
                         continue
                     delta = self._node_delta(i, ((l, -trip[k]), (l2, trip[k])))
                     if delta < -IMPROVE_EPS:
-                        self._apply_drone_moves(i, [(k, l2)], "relocate_drone_assignment1", delta)
-                        return True
+                        return self._commit("relocate_drone_assignment1", delta, ((k, i, l2),))
         return False
 
     def swap_drone_assignment1(self) -> bool:
@@ -533,8 +516,8 @@ class DeltaCache:
                     dv = trip[k2] - trip[k1]
                     delta = self._node_delta(i, ((l1, dv), (l2, -dv)))
                     if delta < -IMPROVE_EPS:
-                        self._apply_drone_moves(i, [(k1, l2), (k2, l1)], "swap_drone_assignment1", delta)
-                        return True
+                        moves = ((k1, i, l2), (k2, i, l1))
+                        return self._commit("swap_drone_assignment1", delta, moves)
         return False
 
     def relocate_drone_assignment2(self) -> bool:
@@ -555,10 +538,8 @@ class DeltaCache:
                                 continue
                             delta = self._node_delta(i, ((l, -pair), (l2, pair)))
                             if delta < -IMPROVE_EPS:
-                                self._apply_drone_moves(
-                                    i, [(k1, l2), (k2, l2)], "relocate_drone_assignment2", delta
-                                )
-                                return True
+                                moves = ((k1, i, l2), (k2, i, l2))
+                                return self._commit("relocate_drone_assignment2", delta, moves)
         return False
 
     def swap_drone_assignment2(self) -> bool:
@@ -580,13 +561,8 @@ class DeltaCache:
                                 dv = pair - trip[k3]
                                 delta = self._node_delta(i, ((l, -dv), (l2, dv)))
                                 if delta < -IMPROVE_EPS:
-                                    self._apply_drone_moves(
-                                        i,
-                                        [(k1, l2), (k2, l2), (k3, l)],
-                                        "swap_drone_assignment2",
-                                        delta,
-                                    )
-                                    return True
+                                    moves = ((k1, i, l2), (k2, i, l2), (k3, i, l))
+                                    return self._commit("swap_drone_assignment2", delta, moves)
         return False
 
     def triangle_drone_assignment(self) -> bool:
@@ -614,13 +590,9 @@ class DeltaCache:
                                             ),
                                         )
                                         if delta < -IMPROVE_EPS:
-                                            self._apply_drone_moves(
-                                                i,
-                                                [(k2, l1), (k3, l2), (k1, l3)],
-                                                "triangle_drone_assignment",
-                                                delta,
-                                            )
-                                            return True
+                                            moves = ((k2, i, l1), (k3, i, l2), (k1, i, l3))
+                                            name = "triangle_drone_assignment"
+                                            return self._commit(name, delta, moves)
         return False
 
     def greedy_repack(self) -> bool:
@@ -639,11 +611,8 @@ class DeltaCache:
                 loads[l] += trip[k]
             new_wait = max(loads)
             if new_wait < self.wait[i] - IMPROVE_EPS:
-                delta = new_wait - self.wait[i]
-                self._apply_drone_moves(
-                    i, [(k, l) for k, l in placement.items()], "greedy_repack", delta
-                )
-                return True
+                moves = [(k, i, l) for k, l in placement.items()]
+                return self._commit("greedy_repack", new_wait - self.wait[i], moves)
         return False
 
     def zigzag_assignment(self) -> bool:
@@ -673,13 +642,8 @@ class DeltaCache:
                             dj = 0.0
                         delta = di + dj
                         if delta < -IMPROVE_EPS:
-                            self._move_drones(i, [(k2, l)])
-                            self._remove_customer(k)
-                            self._add_customer(k, i2, self._idlest(i2))
-                            self._refresh_node(i)
-                            self._refresh_node(i2)
-                            self._accept("zigzag_assignment", delta)
-                            return True
+                            moves = ((k2, i, l), (k, i2, self._idlest(i2)))
+                            return self._commit("zigzag_assignment", delta, moves)
         return False
 
     # --- orchestration --------------------------------------------------------------

@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from helpers import run_python
-from twoecho import load_instance, load_solution
+from helpers import make_instance, run_python
+from twoecho import load_instance, load_solution, save_instance
 from twoecho.cli import main
 
 
@@ -270,6 +270,9 @@ def test_out_of_range_values_are_usage_errors(tiny_instance, tmp_path, capsys):
     _assert_usage_error(capsys, "compare-tsp", coincident, "--fleet", 0, "--iters", 5, "--out", out)
     _assert_usage_error(capsys, "compare-tsp", coincident, "--speeds", 30, "--iters", 5, "--out", out)
     _assert_usage_error(capsys, "compare-tsp", coincident, "--speeds", "40,inf", "--iters", 5, "--out", out)
+    one_point = tmp_path / "one_point.json"  # coincident, but its TSP tour has zero length
+    save_instance(make_instance([(1, 1), (1, 1)], [(1, 1)]), one_point)
+    _assert_usage_error(capsys, "compare-tsp", one_point, "--iters", 5, "--speeds", 40, "--fleet", 1, "--out", out)
     _assert_usage_error(
         capsys, "bench", tiny_instance, "--u-offsets", -5, "--iters", 5, "--skip-exact", "--out", out
     )

@@ -19,8 +19,10 @@ from twoecho import (
     generate,
     generate_coincident,
     import_milp_solution,
+    save_instance,
     solve_exact,
 )
+from twoecho.cli import main
 from twoecho.exact import MilpParseError
 
 
@@ -201,6 +203,25 @@ def test_import_subtour_rejected(tmp_path):
     values.write_text("x_0_1 1\nx_1_4 1\nz_1_0 1\nx_2_3 1\nx_3_2 1\n")
     with pytest.raises(MilpParseError):
         import_milp_solution(values, inst, mats)
+
+
+@pytest.mark.parametrize("lane", ["", "0_"])
+@pytest.mark.parametrize("stops", [(1, 2), (2, 1)])
+def test_import_customer_set_at_two_stops_rejected(tmp_path, capsys, lane, stops):
+    # the file says nothing about which stop serves customer 2, so neither
+    # line order may pick one; the same holds for the multi-trip z_l_i_k form
+    inst = generate(GenConfig(d=20, n_truck=3, m_customers=3, seed=4)).replaced(num_drones=3)
+    inst_path = tmp_path / "i.json"
+    save_instance(inst, inst_path)
+    values = tmp_path / "values.sol"
+    z = [f"z_{lane}{i}_{k} 1" for i, k in ((1, 0), (2, 1), (stops[0], 2), (stops[1], 2))]
+    values.write_text("\n".join(["x_0_1 1", "x_1_2 1", "x_2_3 1", *z]) + "\n")
+    with pytest.raises(MilpParseError) as err:
+        import_milp_solution(values, inst)
+    assert str(err.value) == "customer 2 has two assignment variables set"
+    capsys.readouterr()
+    assert main(["import-milp-solution", str(inst_path), str(values)]) == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
 def test_import_bad_line_rejected(tmp_path):
