@@ -18,7 +18,6 @@ from .model import (
     TwoEchoError,
     Variant,
     evaluate,
-    require_launch_sites,
 )
 
 EPSILON = 1e-6  # hours; keeps zero-cost candidates off the division by zero
@@ -75,7 +74,7 @@ class ConstructionState:
         t = mats.t
         self._arc_cost: dict[int, list[float]] = {}
         self._arc_w: dict[int, list[float]] = {}
-        for j in range(1, n):
+        for j in range(n):
             if mats.w_sets[j]:
                 c = t[j][0] + t[j][0] - t[0][0]
                 c = c if c > 0.0 else 0.0
@@ -210,7 +209,6 @@ def construct_solution(
     ``waits``, ``arrivals`` and ``objective`` stay unset, for a caller that
     evaluates it later anyway, as the GRASP loop does after local search.
     """
-    require_launch_sites(mats.v_serve)
     state = ConstructionState(inst, mats, variant)
     while state.pending:
         state.commit(*state.draw(rng))

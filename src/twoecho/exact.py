@@ -25,7 +25,6 @@ from .model import (
     Variant,
     build_time_matrices,
     evaluate,
-    require_launch_sites,
 )
 
 
@@ -212,7 +211,6 @@ def solve_exact(
         evaluate(sol, inst, mats)
         return ExactResult(sol, sol.objective, SearchProof(subsets=1, assignments=1))
 
-    require_launch_sites(mats.v_serve)
     serve_bits = [sum(1 << (i - 1) for i in sites) for sites in mats.v_serve]
 
     trip = mats.trip
@@ -364,18 +362,17 @@ def _assignment_rows(lp, mats, lanes):
     for k in range(len(mats.v_serve)):
         terms = [(1.0, f"z_{lane}{i}_{k}") for lane in lanes for i in mats.v_serve[k]]
         lp.constraint(f"assign_{k}", terms, "=", 1.0)
-    w_sets = mats.w_sets
     lp.binaries.extend(
-        f"z_{lane}{i}_{k}" for lane in lanes for i in range(1, len(w_sets)) for k in w_sets[i]
+        f"z_{lane}{i}_{k}" for lane in lanes for i, ks in enumerate(mats.w_sets) for k in ks
     )
 
 
 def _fleet_rows(lp, w_sets, fleet_terms, rhs):
     """No stop flies more single-trip flights than there are drones: ``rhs``
     drones, or the fleet variable in ``fleet_terms`` with ``rhs`` 0."""
-    for i in range(1, len(w_sets)):
-        if w_sets[i]:
-            terms = [(1.0, f"z_{i}_{k}") for k in w_sets[i]] + fleet_terms
+    for i, ks in enumerate(w_sets):
+        if ks:
+            terms = [(1.0, f"z_{i}_{k}") for k in ks] + fleet_terms
             lp.constraint(f"fleet_{i}", terms, "<=", rhs)
 
 
@@ -396,7 +393,6 @@ def export_milp(
     """
     if not 0 < big_m < math.inf:
         raise ValueError("big_m must be a positive, finite upper bound on the objective")
-    require_launch_sites(mats.v_serve)
     n, u = inst.n, inst.num_drones
     multi = variant is Variant.MULTI
     lanes = [f"{l}_" for l in range(u)] if multi else [""]  # see _assignment_rows
@@ -461,7 +457,7 @@ def export_milp(
         if literal_eq13:
             for i in range(n):
                 terms = [(1.0, f"s_{i}")]
-                terms += [(-trip[i][k], f"z_{i}_{k}") for k in (w_sets[i] if i > 0 else ())]
+                terms += [(-trip[i][k], f"z_{i}_{k}") for k in w_sets[i]]
                 lp.constraint(f"wait_{i}", terms, ">=", 0.0)
         else:
             for i in range(1, n):
@@ -516,13 +512,13 @@ def import_milp_solution(
 ) -> Solution:
     """Rebuild a solution from a ``name value`` text file of solver variables.
 
-    Lines may also use ``name = value``; ``#`` starts a comment. The arc
-    variables must trace a single depot-to-copy path, and the resulting
-    solution is validated before being returned.
+    Lines may also use ``name = value``; ``#`` starts a comment. A variable
+    may be set once. The arc variables must trace a single depot-to-copy
+    path, and the resulting solution is validated before being returned.
     """
     if mats is None:
         mats = build_time_matrices(inst)
-    values: dict[str, float] = {}
+    values: dict[str, tuple[int, float]] = {}  # name -> (line, value)
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
@@ -532,8 +528,10 @@ def import_milp_solution(
             if len(tokens) != 2:
                 raise MilpParseError(f"line {lineno}: expected 'name value', got {raw!r}")
             name, text = tokens
+            if name in values:
+                raise MilpParseError(f"line {lineno}: {name} already set on line {values[name][0]}")
             try:
-                values[name] = float(text)
+                values[name] = lineno, float(text)
             except ValueError as err:
                 raise MilpParseError(f"line {lineno}: bad number {text!r} for {name}") from err
 
@@ -542,7 +540,7 @@ def import_milp_solution(
     drone_of: dict[int, int] = {}
     saw_multi = False
     saw_single = False
-    for name, value in values.items():
+    for name, (_, value) in values.items():
         prefix, *fields = name.split("_")
         if (prefix, len(fields)) not in _VALUE_NAMES:
             raise MilpParseError(f"unrecognized variable name {name!r}")

@@ -8,11 +8,11 @@ from typing import Sequence
 import numpy as np
 
 from .model import (
+    InfeasibleInstanceError,
     Instance,
     Point,
     TimeMatrices,
     TwoEchoError,
-    require_launch_sites,
 )
 
 MAX_DRAWS_PER_CUSTOMER = 10**6
@@ -176,9 +176,11 @@ def assignment_witness(
 
 def min_fleet_size(serve_sets: Sequence[Sequence[int]], num_nodes: int) -> int:
     """Binary search for the smallest per-node cap admitting a full assignment."""
-    if not serve_sets:
-        return 1
-    require_launch_sites(serve_sets)
+    for k, sites in enumerate(serve_sets):
+        if not sites:
+            raise InfeasibleInstanceError(
+                f"customer {k} has no launch-capable truck node within drone range"
+            )
     lo, hi = 1, len(serve_sets)
     while lo < hi:
         mid = (lo + hi) // 2

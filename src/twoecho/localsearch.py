@@ -336,26 +336,6 @@ class DeltaCache:
                     return self._commit("swap_assignment1", delta, ((k2, i1, l1), (k1, i2, l2)))
         return False
 
-    def _composite_tour_delta(self, insert_j, ins_pos, drop_i) -> float:
-        """Travel change from splicing ``insert_j`` in at tour position
-        ``ins_pos`` and dropping ``drop_i``, from the edges next to both.
-
-        Never below the change from the drop alone, as insertion costs are
-        clamped at zero.
-        """
-        tour = self.tour
-        pos = self._position[drop_i]
-        if ins_pos == pos or ins_pos == pos + 1:
-            # next to drop_i: insert_j takes its place between its neighbours
-            a = tour[pos - 1]
-            b = tour[pos + 1] if pos + 1 < len(tour) else 0
-        else:
-            a = tour[ins_pos - 1]
-            b = tour[ins_pos] if ins_pos < len(tour) else 0
-        t = self.t
-        ins = t[a][insert_j] + t[insert_j][b] - t[a][b]
-        return (ins if ins > 0.0 else 0.0) + self._remove_node_tour_delta(drop_i)
-
     def re_assignment1(self) -> bool:
         """Move one customer to another node; insert or drop stops as needed."""
         cap = self.cap
@@ -447,10 +427,21 @@ class DeltaCache:
         return False
 
     def _insertion_tour_delta(self, j, i, drop) -> float:
-        """Travel change from splicing unvisited ``j`` into the tour, and
-        dropping ``i`` when ``drop``."""
-        ins_cost, ins_pos = self.best_insertion(j)
-        return self._composite_tour_delta(j, ins_pos, i) if drop else ins_cost
+        """Travel change from splicing unvisited ``j`` in at its best insertion,
+        and dropping ``i`` when ``drop``; never below the change from the drop
+        alone, as insertion costs are clamped at zero."""
+        ins, ins_pos = self.best_insertion(j)
+        if not drop:
+            return ins
+        tour = self.tour
+        pos = self._position[i]
+        if ins_pos == pos or ins_pos == pos + 1:
+            # next to i: j takes its place between its neighbours
+            a = tour[pos - 1]
+            b = tour[pos + 1] if pos + 1 < len(tour) else 0
+            ins = self.t[a][j] + self.t[j][b] - self.t[a][b]
+            ins = ins if ins > 0.0 else 0.0
+        return ins + self._remove_node_tour_delta(i)
 
     def _apply_re_assignment(self, name, delta, i, j, ks) -> bool:
         """Move customers ``ks`` from stop ``i`` to node ``j``, each onto its

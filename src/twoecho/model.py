@@ -112,17 +112,30 @@ class Instance:
         for p in self.truck_nodes + self.customers:
             if not (math.isfinite(p.x) and math.isfinite(p.y)):
                 raise InfeasibleInstanceError(f"non-finite coordinate {p}")
-        # every customer must be reachable from some truck node within endurance
-        for k, c in enumerate(self.customers):
-            best = min(2.0 * euclidean(v, c) / self.drone_speed for v in self.truck_nodes)
-            if best > self.endurance + TIME_EPS:
-                raise InfeasibleInstanceError(
-                    f"customer {k} unreachable: closest round trip {best:.6f} h exceeds endurance {self.endurance} h"
-                )
+        # every customer needs a launch site: a truck stop, never the depot, in drone range
+        trip, reach = _drone_reach(self)
+        stranded = np.flatnonzero(~reach.any(axis=0))
+        if stranded.size:
+            k, best = stranded[0], trip[1:, stranded[0]].min(initial=math.inf)
+            raise InfeasibleInstanceError(
+                f"customer {k} has no launch-capable truck node within drone range: "
+                f"closest round trip from a stop {best:.6f} h exceeds endurance {self.endurance} h"
+            )
 
     def replaced(self, **changes) -> "Instance":
         """Copy with fields changed; re-validates."""
         return replace(self, **changes)
+
+
+def _drone_reach(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """``trip`` and ``reach`` as :class:`TimeMatrices` defines them, as arrays."""
+    tn = np.asarray(inst.truck_nodes, dtype=float)
+    cu = np.asarray(inst.customers, dtype=float).reshape(inst.m, 2)
+    diff = tn[:, None, :] - cu[None, :, :]
+    trip = 2.0 * (np.sqrt((diff * diff).sum(axis=2)) / inst.drone_speed)
+    reach = trip <= inst.endurance + TIME_EPS
+    reach[0] = False
+    return trip, reach
 
 
 @dataclass(frozen=True)
@@ -131,11 +144,11 @@ class TimeMatrices:
 
     ``t[i][j]`` truck hours (Manhattan / truck speed), ``trip[i][k]`` drone
     round-trip hours from node i to customer k (twice Euclidean / drone
-    speed), ``reach[i][k]`` whether that trip is within endurance.
-    ``w_sets[i]`` lists customers a drone from node i can serve;
-    ``v_serve[k]`` lists the nodes that can serve customer k, without the
-    depot, which never launches drones. All are nested lists and tuples,
-    which index faster than numpy arrays one element at a time.
+    speed), ``reach[i][k]`` whether that trip is within endurance and i is
+    not the depot, which never launches drones (``reach[0]`` is all False).
+    ``w_sets[i]`` lists customers node i can serve; ``v_serve[k]``, never
+    empty, the nodes that can serve customer k. All are nested lists and
+    tuples, which index faster than numpy arrays one element at a time.
     """
 
     t: list[list[float]]
@@ -145,36 +158,17 @@ class TimeMatrices:
     v_serve: tuple[tuple[int, ...], ...]
 
 
-def require_launch_sites(serve_sets: Sequence[Sequence[int]]) -> None:
-    """Raise :class:`InfeasibleInstanceError` for the first customer without
-    a launch-capable truck node in drone range (an empty ``v_serve`` entry)."""
-    for k, sites in enumerate(serve_sets):
-        if not sites:
-            raise InfeasibleInstanceError(
-                f"customer {k} has no launch-capable truck node within drone range"
-            )
-
-
 def build_time_matrices(inst: Instance) -> TimeMatrices:
     """Compute truck/drone time matrices and the reachability sets."""
     tn = np.asarray(inst.truck_nodes, dtype=float)
-    cu = np.asarray(inst.customers, dtype=float).reshape(inst.m, 2)
     t = np.abs(tn[:, None, :] - tn[None, :, :]).sum(axis=2) / inst.truck_speed
-    if inst.m:
-        diff = tn[:, None, :] - cu[None, :, :]
-        one_way = np.sqrt((diff * diff).sum(axis=2)) / inst.drone_speed
-    else:
-        one_way = np.zeros((inst.n, 0))
-    trip = 2.0 * one_way
-    reach = trip <= inst.endurance + TIME_EPS
-    w_sets = tuple(tuple(np.flatnonzero(reach[i]).tolist()) for i in range(inst.n))
-    v_serve = tuple(tuple((np.flatnonzero(reach[1:, k]) + 1).tolist()) for k in range(inst.m))
+    trip, reach = _drone_reach(inst)
     return TimeMatrices(
         t=t.tolist(),
         trip=trip.tolist(),
         reach=reach.tolist(),
-        w_sets=w_sets,
-        v_serve=v_serve,
+        w_sets=tuple(tuple(np.flatnonzero(row).tolist()) for row in reach),
+        v_serve=tuple(tuple(np.flatnonzero(col).tolist()) for col in reach.T),
     )
 
 
@@ -287,7 +281,7 @@ def check_feasibility(sol: Solution, inst: Instance, mats: TimeMatrices) -> list
         if i not in visited:  # also catches an index outside the instance
             text = f"customer {k} is assigned to node {i} which the truck never visits"
             out.append(Violation("unvisited", text))
-        if 0 <= i < n and mats.trip[i][k] > inst.endurance + TIME_EPS:
+        if 0 <= i < n and not mats.reach[i][k]:
             out.append(Violation("range", f"customer {k} is out of drone range from node {i}"))
 
     served: dict[int, int] = {}
@@ -452,6 +446,8 @@ def _load(path, parse):
             return parse(data)
         except KeyError as err:
             raise InputFileError(f"{path}: missing field {err}") from None
+        except InfeasibleInstanceError as err:
+            raise InfeasibleInstanceError(f"{path}: {err}") from None
         except (AttributeError, TypeError, ValueError) as err:
             # ValueError includes bad JSON and bad text encoding
             raise InputFileError(f"{path}: {err}") from None

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,14 +9,14 @@ from oracles import brute_u_min
 from twoecho import (
     GenConfig,
     InfeasibleInstanceError,
-    Variant,
     build_time_matrices,
     compute_u_min,
     generate,
     generate_coincident,
+    load_instance,
+    save_instance,
 )
-from twoecho.construct import construct_solution
-from twoecho.exact import export_milp, solve_exact
+from twoecho.cli import main
 from twoecho.instancegen import GenerationError, assignment_witness, min_fleet_size
 from twoecho.model import euclidean, instance_to_json_dict
 
@@ -92,19 +93,30 @@ def test_u_min_pigeonhole():
     assert compute_u_min(inst, mats) == 3
 
 
-def test_u_min_requires_serviceable_customers():
-    # reachable from the depot only: valid instance, but no launch site
-    inst = make_instance([(0, 0), (30, 0)], [(0, 1)], d=40)
-    mats = build_time_matrices(inst)
+def test_u_min_requires_serviceable_customers(tmp_path, capsys):
+    # reachable from the depot only, which never launches drones: no launch
+    # site, so no such instance can be made, loaded or solved
     message = "customer 0 has no launch-capable truck node within drone range"
-    for call in (
-        lambda: compute_u_min(inst, mats),
-        lambda: construct_solution(inst, mats, Variant.SINGLE, np.random.default_rng(0)),
-        lambda: solve_exact(inst, mats, Variant.MULTI),
-        lambda: export_milp(inst, mats, Variant.MULTI, big_m=10.0),
-    ):
-        with pytest.raises(InfeasibleInstanceError, match=message):
-            call()
+    with pytest.raises(InfeasibleInstanceError, match=message):
+        make_instance([(0, 0), (30, 0)], [(0, 1)], d=40)
+    served = make_instance([(0, 0), (30, 0)], [(30, 1)], d=40)
+    with pytest.raises(InfeasibleInstanceError, match=message):
+        served.replaced(customers=((0.0, 1.0),))
+    path = tmp_path / "depot_only.json"
+    path.write_text(json.dumps({**instance_to_json_dict(served), "customers": [[0.0, 1.0]]}))
+    with pytest.raises(InfeasibleInstanceError, match=f"^{re.escape(str(path))}: {message}"):
+        load_instance(path)
+    served_path, sol_path = tmp_path / "served.json", tmp_path / "sol.json"
+    save_instance(served, served_path)
+    assert main(["solve", str(served_path), "--iters", "5", "--out", str(sol_path)]) == 0
+    for argv in (["solve", str(path), "--iters", "5"], ["verify", str(path), str(sol_path)]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1, argv
+    # raw serve sets skip that check, so the fleet search makes its own
+    with pytest.raises(InfeasibleInstanceError, match="customer 1 has no launch-capable"):
+        min_fleet_size([(1,), ()], 2)
 
 
 def test_witness_follows_a_long_augmenting_chain():

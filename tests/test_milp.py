@@ -224,6 +224,31 @@ def test_import_customer_set_at_two_stops_rejected(tmp_path, capsys, lane, stops
     assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        (["z_1_2 1", "z_1_2 0", "z_2_2 1"], "line 7: z_1_2 already set on line 6"),
+        (["z_1_2 0", "z_2_2 1", "z_1_2 1"], "line 8: z_1_2 already set on line 6"),
+    ],
+)
+def test_import_repeated_variable_rejected(tmp_path, capsys, tail, message):
+    # were the last value of a repeated name kept, line order would decide:
+    # the first tail would import customer 2 at node 2, and the second would
+    # be refused for two assignments of customer 2
+    inst = generate(GenConfig(d=20, n_truck=3, m_customers=3, seed=4)).replaced(num_drones=3)
+    inst_path = tmp_path / "i.json"
+    save_instance(inst, inst_path)
+    values = tmp_path / "values.sol"
+    head = ["x_0_1 1", "x_1_2 1", "x_2_3 1", "z_1_0 1", "z_2_1 1"]
+    values.write_text("\n".join(head + tail) + "\n")
+    with pytest.raises(MilpParseError) as err:
+        import_milp_solution(values, inst)
+    assert str(err.value) == message
+    capsys.readouterr()
+    assert main(["import-milp-solution", str(inst_path), str(values)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_import_bad_line_rejected(tmp_path):
     inst, mats = _m1_instance()
     values = tmp_path / "values.sol"

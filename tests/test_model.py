@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from twoecho import (
     check_feasibility,
     evaluate,
 )
-from twoecho.model import instance_from_json_dict, instance_to_json_dict
+from twoecho.model import TIME_EPS, instance_from_json_dict, instance_to_json_dict
 
 
 def test_truck_time_manhattan():
@@ -27,9 +28,52 @@ def test_truck_time_manhattan():
 
 
 def test_drone_time_euclidean():
-    inst = make_instance([(0, 0)], [(3, 4)], drone_speed=50)
+    # node 1 shares the depot's point, so the customer has a launch site
+    inst = make_instance([(0, 0), (0, 0)], [(3, 4)], drone_speed=50)
     mats = build_time_matrices(inst)
-    assert mats.trip[0][0] == pytest.approx(2 * 5 / 50)  # 0.1 h each way
+    assert mats.trip[0][0] == mats.trip[1][0] == pytest.approx(2 * 5 / 50)  # 0.1 h each way
+
+
+def _lowest_endurance_reaching(trip):
+    """The smallest float endurance e with ``trip <= e + TIME_EPS``."""
+    e = trip - TIME_EPS
+    while trip <= math.nextafter(e, 0.0) + TIME_EPS:
+        e = math.nextafter(e, 0.0)
+    while trip > e + TIME_EPS:
+        e = math.nextafter(e, math.inf)
+    return e
+
+
+def test_instance_is_valid_exactly_when_every_customer_has_a_launch_site():
+    # endurance at the deciding round trip, at the lowest endurance that still
+    # reaches it, and one ulp below each; the nearest node of all (often the
+    # depot, which never launches) gives candidates that a rule letting the
+    # depot launch would wrongly accept
+    rng = np.random.default_rng(2024)
+    outcomes = set()
+    for _ in range(150):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(1, 6))
+        truck = [tuple(p) for p in rng.uniform(0.0, 20.0, size=(n, 2))]
+        customers = [tuple(p) for p in rng.uniform(0.0, 20.0, size=(m, 2))]
+        customers[0] = (truck[0][0] + rng.uniform(-2, 2), truck[0][1] + rng.uniform(-2, 2))
+        roomy = make_instance(truck, customers, endurance=1e6, d=25.0)
+        trip = build_time_matrices(roomy).trip
+        from_stops = [min(trip[i][k] for i in range(1, n)) for k in range(m)]
+        from_any = [min(trip[i][k] for i in range(n)) for k in range(m)]
+        for tight in (max(from_stops), max(from_any)):
+            for e in (tight, _lowest_endurance_reaching(tight)):
+                for endurance in (e, math.nextafter(e, 0.0)):
+                    if endurance <= 0.0:
+                        continue
+                    valid = all(best <= endurance + TIME_EPS for best in from_stops)
+                    outcomes.add(valid)
+                    if valid:
+                        mats = build_time_matrices(roomy.replaced(endurance=endurance))
+                        assert all(mats.v_serve) and not any(mats.reach[0])
+                    else:
+                        with pytest.raises(InfeasibleInstanceError, match="no launch-capable"):
+                            roomy.replaced(endurance=endurance)
+    assert outcomes == {True, False}
 
 
 def test_unreachable_customer_makes_instance_invalid():
