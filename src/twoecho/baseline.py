@@ -75,12 +75,15 @@ def gap_percent(tsp_obj: float, obj: float) -> float:
 def check_coincident(inst: Instance) -> None:
     """Raise ``ValueError`` unless customer k sits on truck node k + 1 for
     every non-depot node, so a stop can serve its own customer with a
-    zero-length flight."""
+    zero-length flight, and the truck nodes lie at two or more points, so
+    the truck-only tour the comparison divides by has a positive length."""
     if inst.m != inst.n - 1:
-        raise ValueError(f"{inst.m} customers for {inst.n - 1} non-depot truck nodes")
+        raise ValueError(f"not coincident: {inst.m} customers for {inst.n - 1} non-depot truck nodes")
     for k, c in enumerate(inst.customers):
         if euclidean(inst.truck_nodes[k + 1], c) > 1e-12:
-            raise ValueError(f"customer {k} does not coincide with truck node {k + 1}")
+            raise ValueError(f"not coincident: customer {k} is not on truck node {k + 1}")
+    if len(set(inst.truck_nodes)) < 2:
+        raise ValueError("truck nodes all share one point, so the truck-only tour has zero length")
 
 
 def compare_mode(

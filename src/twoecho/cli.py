@@ -8,10 +8,12 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import baseline, exact, grasp, instancegen
 from .model import (
+    InfeasibleInstanceError,
     TwoEchoError,
     Variant,
     Violation,
@@ -32,56 +34,30 @@ class UsageError(TwoEchoError):
     """Bad command-line input; reported in one line with exit code 2."""
 
 
-def _require(ok: bool, message: str) -> None:
-    if not ok:
-        raise UsageError(message)
-
-
-def _at_least_one(name: str, value: int) -> int:
-    _require(value >= 1, f"{name} must be at least 1, got {value}")
-    return value
-
-
-def _seed(args) -> int:
-    _require(args.seed >= 0, f"--seed must not be negative, got {args.seed}")
-    return args.seed
-
-
-def _check_speeds(speeds, truck_speed: float) -> None:
-    for vd in speeds:
-        _require(
-            truck_speed <= vd < math.inf,
-            f"--speeds must be finite and at least the truck speed {truck_speed:g}, got {vd:g}",
-        )
+@contextmanager
+def _usage():
+    """Report a value that the library refuses while a command builds its
+    configs and instances from the arguments, before any solving or file
+    load, as a usage error."""
+    try:
+        yield
+    except (ValueError, InfeasibleInstanceError, instancegen.GenerationError) as err:
+        raise UsageError(str(err)) from None
 
 
 def _threads(args) -> int:
     if args.threads is not None:
-        return _at_least_one("--threads", args.threads)
+        return args.threads
     raw = os.environ.get("TWOECHO_THREADS", "1")
     try:
-        threads = int(raw)
+        return int(raw)
     except ValueError:
         raise UsageError(f"TWOECHO_THREADS must be an integer, got {raw!r}") from None
-    return _at_least_one("TWOECHO_THREADS", threads)
-
-
-def _variant(text: str) -> Variant:
-    try:
-        return Variant.parse(text)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
 
 
 def _grasp_config(args, variant: Variant, time_limit: float | None = None) -> grasp.GraspConfig:
-    if time_limit is not None and not time_limit > 0:
-        raise UsageError(f"--time-limit must be positive, got {time_limit}")
     return grasp.GraspConfig(
-        variant=variant,
-        n_max=_at_least_one("--iters", args.iters),
-        seed=_seed(args),
-        time_limit=time_limit,
-        threads=_threads(args),
+        variant=variant, n_max=args.iters, seed=args.seed, time_limit=time_limit, threads=_threads(args)
     )
 
 
@@ -173,43 +149,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    _require(0 < args.d < math.inf, f"--d must be positive and finite, got {args.d:g}")
-    _require(args.m >= 0, f"--m must not be negative, got {args.m}")
-    # the depot never launches drones, so customers need a second node
-    min_n = 2 if args.coincident or args.m > 0 else 1
-    _require(args.n >= min_n, f"--n must be at least {min_n}, got {args.n}")
-    _require(
-        0 < args.truck_speed <= args.drone_speed < math.inf,
-        f"need 0 < --truck-speed <= --drone-speed < inf, got {args.truck_speed:g} and {args.drone_speed:g}",
-    )
-    _require(
-        0 < args.endurance < math.inf, f"--endurance must be positive and finite, got {args.endurance:g}"
-    )
-    _at_least_one("--num-drones", args.num_drones)
-    _seed(args)
-    if args.coincident:
-        inst = instancegen.generate_coincident(
-            d=args.d,
-            n_total=args.n,
-            seed=args.seed,
-            truck_speed=args.truck_speed,
-            drone_speed=args.drone_speed,
-            endurance=args.endurance,
-            num_drones=args.num_drones,
-        )
-    else:
-        cfg = instancegen.GenConfig(
-            d=args.d,
-            n_truck=args.n,
-            m_customers=args.m,
-            truck_speed=args.truck_speed,
-            drone_speed=args.drone_speed,
-            endurance=args.endurance,
-            seed=args.seed,
-        )
-        inst = instancegen.generate(cfg)
-        if args.num_drones != 1:
-            inst = inst.replaced(num_drones=args.num_drones)
+    vehicles = dict(truck_speed=args.truck_speed, drone_speed=args.drone_speed, endurance=args.endurance)
+    with _usage():
+        if args.coincident:
+            inst = instancegen.generate_coincident(
+                d=args.d, n_total=args.n, seed=args.seed, num_drones=args.num_drones, **vehicles
+            )
+        else:
+            inst = instancegen.generate(
+                instancegen.GenConfig(d=args.d, n_truck=args.n, m_customers=args.m, seed=args.seed, **vehicles)
+            )
+            if args.num_drones != 1:
+                inst = inst.replaced(num_drones=args.num_drones)
     save_instance(inst, args.out)
     print(f"wrote {inst.name}: {inst.n} truck nodes, {inst.m} customers -> {args.out}")
     return 0
@@ -220,7 +171,8 @@ def _trace_hook(name: str, delta: float):
 
 
 def _cmd_solve(args) -> int:
-    cfg = _grasp_config(args, _variant(args.variant), args.time_limit)
+    with _usage():
+        cfg = _grasp_config(args, Variant.parse(args.variant), args.time_limit)
     inst = load_instance(args.instance)
     best, report = grasp.run(inst, cfg, on_move=_trace_hook if args.trace else None)
     print(
@@ -237,14 +189,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    limits = exact.ExactLimits(
-        _at_least_one("--max-nodes", args.max_nodes),
-        _at_least_one("--max-customers", args.max_customers),
-        _at_least_one("--max-drones", args.max_drones),
-    )
+    with _usage():
+        variant = Variant.parse(args.variant)
+        limits = exact.ExactLimits(args.max_nodes, args.max_customers, args.max_drones)
     inst = load_instance(args.instance)
     mats = build_time_matrices(inst)
-    result = exact.solve_exact(inst, mats, _variant(args.variant), limits)
+    result = exact.solve_exact(inst, mats, variant, limits)
     print(
         f"{inst.name} optimum {result.objective:.6f} h "
         f"({result.proof.subsets} subsets, {result.proof.assignments} improving leaves)"
@@ -255,15 +205,16 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_export_milp(args) -> int:
-    if args.big_m is not None:
-        _require(0 < args.big_m < math.inf, f"--big-m must be positive and finite, got {args.big_m:g}")
+    with _usage():
+        variant = None if args.model == "umin" else Variant.parse(args.model)
+        if args.big_m is not None:
+            exact.check_big_m(args.big_m)
     inst = load_instance(args.instance)
     mats = build_time_matrices(inst)
-    if args.model == "umin":
+    if variant is None:
         exact.export_umin_milp(inst, mats, args.out)
         print(f"wrote minimum-fleet model -> {args.out}")
         return 0
-    variant = _variant(args.model)
     big_m = args.big_m
     if big_m is None:
         cfg = grasp.GraspConfig(variant=variant, n_max=200, seed=0)
@@ -276,8 +227,9 @@ def _cmd_export_milp(args) -> int:
 
 
 def _cmd_import_milp(args) -> int:
+    with _usage():
+        variant = None if args.variant is None else Variant.parse(args.variant)
     inst = load_instance(args.instance)
-    variant = None if args.variant is None else _variant(args.variant)
     sol = exact.import_milp_solution(args.values, inst, variant=variant)
     print(f"imported solution: objective {sol.objective:.6f} h, stops {len(sol.tour)}")
     if args.out:
@@ -303,19 +255,14 @@ def _report_row(report, truck_speed: float, tsp: baseline.TspResult) -> list:
 
 
 def _cmd_compare_tsp(args) -> int:
-    cfg = _grasp_config(args, Variant.MULTI)
     inst = load_instance(args.instance)
-    try:
+    with _usage():
+        cfg = _grasp_config(args, Variant.MULTI)
         baseline.check_coincident(inst)
-    except ValueError as err:
-        raise UsageError(f"compare-tsp needs a coincident instance: {err}") from None
-    if len(set(inst.truck_nodes)) < 2:
-        raise UsageError(
-            "compare-tsp needs truck nodes at two or more points: the truck-only tour has zero length"
-        )
-    for u in args.fleet:
-        _at_least_one("--fleet", u)
-    _check_speeds(args.speeds, inst.truck_speed)
+        # a trial costs well under 1 ms; building each refuses bad --speeds or --fleet before the TSP
+        for vd in args.speeds:
+            for u in args.fleet:
+                inst.replaced(drone_speed=float(vd), num_drones=int(u))
     tsp = baseline.solve_tsp(inst.truck_nodes, inst.truck_speed)
     rows = baseline.compare_mode(inst, args.speeds, args.fleet, cfg, tsp=tsp)
     with open(args.out, "w", newline="", encoding="utf-8") as f:
@@ -339,9 +286,11 @@ def _collect_instances(paths) -> list[Path]:
     return files
 
 
+def _cells(seconds: float, objective: float) -> list[str]:
+    return [f"{seconds:.2f}", f"{objective:.6f}", f"{60 * objective:.3f}"]
+
+
 def _cmd_bench(args) -> int:
-    _at_least_one("--iters", args.iters)
-    _seed(args)
     files = _collect_instances(args.instances)
     if not files:
         print("no instance files found", file=sys.stderr)
@@ -355,45 +304,34 @@ def _cmd_bench(args) -> int:
         # fleet sizes come from the reference drone speed, so that every
         # grid speed down to it can serve every customer
         ref = inst.replaced(drone_speed=max(instancegen.REFERENCE_DRONE_SPEED, inst.truck_speed))
-        u_min = instancegen.compute_u_min(ref, build_time_matrices(ref))
-        for offset in args.u_offsets:
-            _require(
-                u_min + offset >= 1,
-                f"--u-offsets {offset} leaves {inst.name} (u_min {u_min}) without a drone",
-            )
-        _check_speeds(args.speeds, inst.truck_speed)
-        grid.append((inst, u_min))
+        grid.append((inst, instancegen.compute_u_min(ref, build_time_matrices(ref))))
+    with _usage():
+        cfgs = [
+            grasp.GraspConfig(variant=v, n_max=args.iters, seed=args.seed) for v in (Variant.SINGLE, Variant.MULTI)
+        ]
+        trials = [
+            inst.replaced(drone_speed=float(vd), num_drones=u_min + offset)
+            for inst, u_min in grid
+            for offset in args.u_offsets
+            for vd in args.speeds
+        ]
     rows = []
-    for inst, u_min in grid:
-        for offset in args.u_offsets:
-            u = u_min + offset
-            for vd in args.speeds:
-                trial = inst.replaced(drone_speed=float(vd), num_drones=int(u))
-                mats = build_time_matrices(trial)
-                row = [trial.name, f"{vd:g}", u]
-                for variant in (Variant.SINGLE, Variant.MULTI):
-                    exact_cells = ["", "", ""]
-                    if not args.skip_exact:
-                        try:
-                            t0 = time.perf_counter()
-                            result = exact.solve_exact(trial, mats, variant)
-                            dt = time.perf_counter() - t0
-                            exact_cells = [
-                                f"{dt:.2f}",
-                                f"{result.objective:.6f}",
-                                f"{60 * result.objective:.3f}",
-                            ]
-                        except exact.SizeLimitError:
-                            pass
-                    cfg = grasp.GraspConfig(variant=variant, n_max=args.iters, seed=args.seed)
-                    _, report = grasp.run(trial, cfg, mats=mats)
-                    grasp_cells = [
-                        f"{report.wall_time:.2f}",
-                        f"{report.objective:.6f}",
-                        f"{60 * report.objective:.3f}",
-                    ]
-                    row += exact_cells + grasp_cells
-                rows.append(row)
+    for trial in trials:
+        mats = build_time_matrices(trial)
+        row = [trial.name, f"{trial.drone_speed:g}", trial.num_drones]
+        for cfg in cfgs:
+            exact_cells = ["", "", ""]
+            if not args.skip_exact:
+                try:
+                    t0 = time.perf_counter()
+                    result = exact.solve_exact(trial, mats, cfg.variant)
+                    dt = time.perf_counter() - t0
+                    exact_cells = _cells(dt, result.objective)
+                except exact.SizeLimitError:
+                    pass
+            _, report = grasp.run(trial, cfg, mats=mats)
+            row += exact_cells + _cells(report.wall_time, report.objective)
+        rows.append(row)
     with open(args.out, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(header)

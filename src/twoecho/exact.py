@@ -42,6 +42,10 @@ class ExactLimits:
     max_customers: int = 8
     max_drones: int = 4
 
+    def __post_init__(self):
+        if min(self.max_truck_nodes, self.max_customers, self.max_drones) < 1:
+            raise ValueError(f"every exact-solver limit must be at least 1, got {self}")
+
 
 @dataclass
 class SearchProof:
@@ -376,6 +380,11 @@ def _fleet_rows(lp, w_sets, fleet_terms, rhs):
             lp.constraint(f"fleet_{i}", terms, "<=", rhs)
 
 
+def check_big_m(big_m: float) -> None:
+    if not 0 < big_m < math.inf:
+        raise ValueError(f"big_m must be a positive, finite upper bound on the objective, got {big_m}")
+
+
 def export_milp(
     inst: Instance,
     mats: TimeMatrices,
@@ -391,8 +400,7 @@ def export_milp(
     to the summed form for forensic comparison; the default constrains the
     wait per customer, matching the parallel-flight semantics.
     """
-    if not 0 < big_m < math.inf:
-        raise ValueError("big_m must be a positive, finite upper bound on the objective")
+    check_big_m(big_m)
     n, u = inst.n, inst.num_drones
     multi = variant is Variant.MULTI
     lanes = [f"{l}_" for l in range(u)] if multi else [""]  # see _assignment_rows

@@ -45,9 +45,11 @@ class GraspConfig:
 
     def __post_init__(self):
         if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
+            raise ValueError(f"n_max (iterations) must be at least 1, got {self.n_max}")
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
         if self.threads < 1:
-            raise ValueError("threads must be at least 1")
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
         if self.time_limit is not None and not self.time_limit > 0:  # NaN too
             raise ValueError(f"time_limit must be positive, got {self.time_limit}")
 

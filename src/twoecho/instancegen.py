@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -13,6 +14,7 @@ from .model import (
     Point,
     TimeMatrices,
     TwoEchoError,
+    check_vehicles,
 )
 
 MAX_DRAWS_PER_CUSTOMER = 10**6
@@ -30,8 +32,9 @@ class GenConfig:
     """Parameters for random square instances.
 
     Customers are resampled until each lies within drone range of at least
-    one launch-capable truck node, judged at ``REFERENCE_DRONE_SPEED`` so a
-    single geometry remains feasible across the whole speed grid.
+    one launch-capable truck node, judged at ``drone_speed`` or
+    ``REFERENCE_DRONE_SPEED``, whichever is slower, so one geometry stays
+    feasible across the whole speed grid and at the config's own speed.
     """
 
     d: float
@@ -43,25 +46,33 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d <= 0:
-            raise ValueError("square dimension d must be positive")
+        _check_square(self.d)
         if self.n_truck < 1 or self.m_customers < 0:
-            raise ValueError("need at least one truck node and a non-negative customer count")
-        if self.drone_speed < self.truck_speed:
-            raise ValueError("drones must be at least as fast as the truck")
+            raise ValueError(
+                f"need n_truck >= 1 (truck nodes) and m_customers >= 0 (customers), "
+                f"got {self.n_truck} and {self.m_customers}"
+            )
+        # a NaN or infinite reach radius would make customer sampling spin
+        check_vehicles(self.truck_speed, self.drone_speed, self.endurance)
+
+
+def _check_square(d: float) -> None:
+    if not 0 < d < math.inf:
+        raise ValueError(f"square dimension d must be positive and finite, got {d}")
 
 
 def generate(cfg: GenConfig) -> Instance:
     """Generate a random instance named ``d-n-m``, deterministic in the seed.
 
     Truck nodes are uniform in the square. Each customer draw is rejected
-    until it is reachable (round trip within endurance at the reference
-    speed) from a non-depot truck node; the depot never launches drones, so
-    depot-only reachability would make the customer unservable.
+    until it is reachable (round trip within endurance at the sampling
+    speed of :class:`GenConfig`) from a non-depot truck node; the depot
+    never launches drones, so depot-only reachability would make the
+    customer unservable.
     """
     rng = np.random.default_rng(cfg.seed)
     truck = rng.uniform(0.0, cfg.d, size=(cfg.n_truck, 2))
-    radius = cfg.endurance * REFERENCE_DRONE_SPEED / 2.0
+    radius = cfg.endurance * min(cfg.drone_speed, REFERENCE_DRONE_SPEED) / 2.0
     launch_sites = truck[1:]
     if cfg.m_customers > 0 and len(launch_sites) == 0:
         raise GenerationError("no launch-capable truck node: every customer would be unservable")
@@ -108,6 +119,7 @@ def generate_coincident(
     Used for the truck-only-versus-drones comparison: the truck may stop at
     any node; each customer can be served for free from its own node.
     """
+    _check_square(d)
     if n_total < 2:
         raise GenerationError("coincident instances need at least a depot and one node")
     rng = np.random.default_rng(seed)

@@ -101,14 +101,9 @@ class Instance:
     def validate(self) -> None:
         if not self.truck_nodes:
             raise InfeasibleInstanceError("instance has no truck nodes")
-        if not (0 < self.truck_speed <= self.drone_speed < math.inf):
-            raise InfeasibleInstanceError(
-                f"speeds must satisfy inf > drone >= truck > 0, got truck={self.truck_speed} drone={self.drone_speed}"
-            )
-        if not 0 < self.endurance < math.inf:
-            raise InfeasibleInstanceError("endurance must be positive and finite")
+        check_vehicles(self.truck_speed, self.drone_speed, self.endurance)
         if self.num_drones < 1:
-            raise InfeasibleInstanceError("need at least one drone")
+            raise InfeasibleInstanceError(f"need at least one drone, got {self.num_drones}")
         for p in self.truck_nodes + self.customers:
             if not (math.isfinite(p.x) and math.isfinite(p.y)):
                 raise InfeasibleInstanceError(f"non-finite coordinate {p}")
@@ -125,6 +120,17 @@ class Instance:
     def replaced(self, **changes) -> "Instance":
         """Copy with fields changed; re-validates."""
         return replace(self, **changes)
+
+
+def check_vehicles(truck_speed: float, drone_speed: float, endurance: float) -> None:
+    """Raise :class:`InfeasibleInstanceError` unless inf > drone speed >=
+    truck speed > 0 and the endurance is positive and finite."""
+    if not (0 < truck_speed <= drone_speed < math.inf):
+        raise InfeasibleInstanceError(
+            f"speeds must satisfy inf > drone >= truck > 0, got truck={truck_speed} drone={drone_speed}"
+        )
+    if not 0 < endurance < math.inf:
+        raise InfeasibleInstanceError(f"endurance must be positive and finite, got {endurance}")
 
 
 def _drone_reach(inst: Instance) -> tuple[np.ndarray, np.ndarray]:

@@ -128,3 +128,17 @@ def test_compare_mode_rejects_non_coincident():
     inst = random_instance(rng)
     with pytest.raises(ValueError):
         compare_mode(inst, [40], [2], GraspConfig(variant=Variant.MULTI, n_max=5, seed=0))
+
+
+def test_compare_mode_refuses_one_point_before_any_run(monkeypatch):
+    # the truck-only tour over one point has zero length, so no gap exists
+    from helpers import make_instance
+    from twoecho import baseline, grasp
+
+    calls = []
+    monkeypatch.setattr(grasp, "run", lambda *args, **kwargs: calls.append("run"))
+    monkeypatch.setattr(baseline, "solve_tsp", lambda *args, **kwargs: calls.append("tsp"))
+    inst = make_instance([(1, 1), (1, 1), (1, 1)], [(1, 1), (1, 1)])
+    with pytest.raises(ValueError, match="one point"):
+        compare_mode(inst, [40], [1], GraspConfig(variant=Variant.MULTI, n_max=5, seed=0))
+    assert calls == []

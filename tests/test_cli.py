@@ -1,11 +1,25 @@
 import csv
 import json
+import math
 
 import pytest
 
 from helpers import make_instance, run_python
-from twoecho import load_instance, load_solution, save_instance
+from twoecho import (
+    ExactLimits,
+    GenConfig,
+    GraspConfig,
+    InfeasibleInstanceError,
+    Variant,
+    generate_coincident,
+    grasp,
+    load_instance,
+    load_solution,
+    save_instance,
+)
+from twoecho.baseline import check_coincident
 from twoecho.cli import main
+from twoecho.exact import check_big_m
 
 
 def run_cli(*args):
@@ -356,3 +370,55 @@ def test_exact_caps_below_one_are_usage_errors(tiny_instance, capsys):
     _assert_usage_error(capsys, "exact", tiny_instance, "--max-nodes", -3)
     _assert_usage_error(capsys, "exact", tiny_instance, "--max-customers", 0)
     _assert_usage_error(capsys, "exact", tiny_instance, "--max-drones", 0)
+
+
+def _one_point_coincident():
+    return make_instance([(1, 1), (1, 1)], [(1, 1)])
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: GraspConfig(variant=Variant.MULTI, seed=-1), ValueError),
+        (lambda: GraspConfig(variant=Variant.MULTI, n_max=0), ValueError),
+        (lambda: GraspConfig(variant=Variant.MULTI, threads=0), ValueError),
+        (lambda: GraspConfig(variant=Variant.MULTI, time_limit=float("nan")), ValueError),
+        (lambda: ExactLimits(0, 0, 0), ValueError),
+        (lambda: ExactLimits(max_drones=0), ValueError),
+        (lambda: GenConfig(d=math.inf, n_truck=3, m_customers=2), ValueError),
+        (lambda: GenConfig(d=20, n_truck=3, m_customers=2, endurance=math.nan), InfeasibleInstanceError),
+        (lambda: GenConfig(d=20, n_truck=3, m_customers=2, truck_speed=50), InfeasibleInstanceError),
+        (lambda: generate_coincident(d=0, n_total=5, seed=0), ValueError),
+        (lambda: generate_coincident(d=math.inf, n_total=5, seed=0), ValueError),
+        (lambda: generate_coincident(d=-5, n_total=5, seed=0), ValueError),
+        (lambda: check_big_m(math.inf), ValueError),
+        (lambda: check_coincident(_one_point_coincident()), ValueError),
+    ],
+)
+def test_library_refuses_bad_values_at_construction(build, error):
+    # the CLI reports exactly these refusals as usage errors, so each must
+    # come from the object that takes the value, as the documented type
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error
+
+
+def test_value_error_inside_a_solve_is_not_a_usage_error(tiny_instance, monkeypatch):
+    def failing(*args, **kwargs):
+        raise ValueError("raised by the solver")
+
+    monkeypatch.setattr(grasp, "run", failing)
+    with pytest.raises(ValueError, match="raised by the solver"):
+        run_cli("solve", tiny_instance, "--iters", 5)
+
+
+def test_invalid_instance_file_stays_a_file_error(tiny_instance, tmp_path, capsys):
+    data = json.loads(tiny_instance.read_text())
+    data["drone_speed"] = data["truck_speed"] / 2
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    _assert_file_error(capsys, path, "solve", path, "--iters", 5)
+    _assert_file_error(capsys, path, "compare-tsp", path, "--iters", 5, "--out", out)
+    _assert_file_error(capsys, path, "bench", path, "--iters", 5, "--skip-exact", "--out", out)
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -43,6 +44,31 @@ def test_generate_records_seed_and_rng():
     data = instance_to_json_dict(inst)
     assert data["seed"] == 17
     assert data["rng"] == "numpy-pcg64"
+
+
+@pytest.mark.parametrize(
+    "d, n, m, seed, drone_speed, digest",
+    [
+        (20, 5, 12, 3, 40.0, "16349de6a124c662"),
+        (30, 4, 10, 8, 60.0, "193c663de32c8c0c"),
+        (25, 6, 15, 99, 80.0, "6ed3a8fd5628bf04"),
+        (20, 20, 10, 42, 40.0, "bc458a34361a4356"),
+    ],
+)
+def test_generate_bytes_pinned_at_40_kmh_and_above(d, n, m, seed, drone_speed, digest):
+    # recorded before customers were sampled at min(drone speed, 40 km/h),
+    # which is the same float at 40 km/h and above
+    inst = generate(GenConfig(d=d, n_truck=n, m_customers=m, drone_speed=drone_speed, seed=seed))
+    text = json.dumps(instance_to_json_dict(inst), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_generate_serves_drones_slower_than_40_kmh():
+    for seed in range(10):
+        inst = generate(
+            GenConfig(d=20, n_truck=4, m_customers=8, truck_speed=20, drone_speed=25, seed=seed)
+        )
+        assert all(build_time_matrices(inst).v_serve)
 
 
 def test_generate_impossible_with_depot_only():
