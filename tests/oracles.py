@@ -5,7 +5,8 @@ implementations: the array-based construction that the incremental one in
 ``twoecho.construct`` must reproduce draw for draw, the cost of one
 serving choice that its roulette weights must invert, and the tour pricing
 whose tie-breaks ``twoecho.exact`` must keep. ``coherence_errors`` checks a
-local-search cache against a from-scratch recomputation.
+local-search cache, and the stops it skips, against a from-scratch
+recomputation.
 """
 
 import itertools
@@ -326,7 +327,9 @@ def coherence_errors(cache):
 
     The waits are also checked against :func:`twoecho.evaluate`, whose stop
     waits are the per-variant reference. Every node off the tour must hold
-    exactly zero state, as moves onto it are costed from that state.
+    exactly zero state, as moves onto it are costed from that state. A stop
+    that a within-stop operator has marked clean at its current stamp must
+    have no move of that operator in a fresh cache of the exported solution.
     """
     errors = []
     if cache._position != {node: idx for idx, node in enumerate(cache.tour)}:
@@ -352,7 +355,12 @@ def coherence_errors(cache):
         if cache.cust_at[i] or any(cache.drones[i]) or any(v != 0.0 for v in held):
             errors.append(f"node {i} is off the tour but holds state")
     if not errors:
-        waits = cache.export_solution().waits
+        sol = cache.export_solution()
         errors += [f"wait at node {i} differs from evaluate" for i in cache.tour
-                   if abs(cache.wait[i] - waits[i]) > 1e-9]
+                   if abs(cache.wait[i] - sol.waits[i]) > 1e-9]
+        fresh = type(cache)(sol, cache.inst, cache.mats)
+        for name, clean in cache.clean.items():
+            at_stop = getattr(type(cache), name).at_stop
+            errors += [f"{name} marked stop {i} clean but has a move there" for i in cache.tour[1:]
+                       if clean[i] == cache.stamp[i] and at_stop(fresh, i) is not None]
     return errors

@@ -277,6 +277,32 @@ def test_bench_sizes_the_fleet_at_40_kmh(tmp_path):
     assert [int(row["u"]) for row in rows] == [u_min]
 
 
+def test_bench_names_the_file_and_the_reference_speed_when_fleet_sizing_fails(tmp_path, capsys):
+    # the stop reaches the customer at the file's 80 km/h (a 0.375 h round
+    # trip) but not at the 40 km/h reference speed (0.75 h), so the file is
+    # valid and only fleet sizing refuses it
+    path = tmp_path / "far.json"
+    save_instance(make_instance([(0, 0), (1, 1)], [(16, 1)], drone_speed=80.0, endurance=0.5), path)
+    out = tmp_path / "bench.csv"
+    err = _assert_file_error(capsys, path, "bench", path, "--iters", 5, "--skip-exact", "--out", out)
+    assert "reference drone speed of 40 km/h" in err
+    assert not out.exists()
+
+
+def test_negative_generator_seed_is_named(tmp_path, capsys):
+    message = "seed must not be negative, got -1"
+    with pytest.raises(ValueError, match=message):
+        GenConfig(d=10, n_truck=3, m_customers=2, seed=-1)
+    with pytest.raises(ValueError, match=message):
+        generate_coincident(d=10, n_total=3, seed=-1)
+    out = tmp_path / "i.json"
+    for shape in (("--m", 2), ("--coincident",)):
+        capsys.readouterr()
+        assert run_cli("gen", "--d", 10, "--n", 3, *shape, "--seed", -1, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_out_of_range_values_are_usage_errors(tiny_instance, tmp_path, capsys):
     coincident = tmp_path / "c.json"
     run_cli("gen", "--d", 15, "--n", 6, "--seed", 5, "--coincident", "--out", coincident)

@@ -110,6 +110,43 @@ def test_every_operator_keeps_the_caches_coherent_after_each_move():
                 while getattr(cache, name)():
                     accepted += 1
                 assert hooked == accepted, (variant, name)
+                assert coherence_errors(cache) == [], (variant, name)
+
+
+def test_within_stop_operators_skip_only_stops_without_moves():
+    # a within-stop operator skips a stop whose stamp has not changed since it
+    # last found nothing there; after every move of a whole multi-trip search,
+    # by any operator, each stop so marked must have no move in a fresh cache
+    within_stop = [name for name in MULTI_TRIP_OPERATORS
+                   if hasattr(getattr(DeltaCache, name), "at_stop")]
+    assert len(within_stop) == 6
+    rng = np.random.default_rng(31)
+    moves = marked = 0
+    for rounds in range(1, 31):
+        inst = operator_instance("greedy_repack", Variant.MULTI, rng, rounds)
+        mats = build_time_matrices(inst)
+        sol = random_feasible_solution(inst, mats, Variant.MULTI, rng)
+        if sol is None:
+            continue
+        cache = DeltaCache(sol, inst, mats)
+
+        def clean_stops():
+            stops = cache.tour[1:]
+            return sum(clean[i] == cache.stamp[i] for clean in cache.clean.values() for i in stops)
+
+        def hook(name, delta):
+            nonlocal moves, marked
+            assert coherence_errors(cache) == [], name
+            moves += 1
+            marked += clean_stops()
+
+        cache.on_move = hook
+        cache.run()
+        assert coherence_errors(cache) == []
+        # at the fixpoint every operator has found nothing at every stop
+        assert sorted(cache.clean) == sorted(within_stop)
+        assert clean_stops() == len(within_stop) * (len(cache.tour) - 1)
+    assert moves > 100 and marked > 50
 
 
 def test_truck_operators_reach_permutation_optimum():

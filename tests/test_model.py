@@ -16,6 +16,7 @@ from twoecho import (
     build_time_matrices,
     check_feasibility,
     evaluate,
+    generate_coincident,
 )
 from twoecho.model import TIME_EPS, instance_from_json_dict, instance_to_json_dict
 
@@ -111,6 +112,22 @@ def test_reach_sets_are_duals():
         for j in range(inst.n):
             for k in range(inst.n):
                 assert mats.t[i][j] <= mats.t[i][k] + mats.t[k][j] + 1e-12
+
+
+def test_reach_sets_are_the_nonzeros_of_reach():
+    rng = np.random.default_rng(12)
+    insts = [random_instance(rng, n_lo=2, n_hi=12, m_lo=1, m_hi=15, d=d)
+             for d in (5.0, 20.0, 60.0) * 8]
+    insts += [generate_coincident(d=20.0, n_total=n, seed=s, drone_speed=60.0)
+              for n in (4, 16) for s in (0, 1)]
+    for inst in insts:
+        mats = build_time_matrices(inst)
+        reach = np.asarray(mats.reach, dtype=bool)
+        assert reach.shape == (inst.n, inst.m)
+        w_sets = tuple(tuple(np.flatnonzero(row).tolist()) for row in reach)
+        v_serve = tuple(tuple(np.flatnonzero(col).tolist()) for col in reach.T)
+        assert mats.w_sets == w_sets and mats.v_serve == v_serve
+        assert all(type(x) is int for sets in (mats.w_sets, mats.v_serve) for s in sets for x in s)
 
 
 def _one_stop(trips, num_drones):
