@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 from .exact import _closing, _held_karp, _popcount_layers, _tour
 from .localsearch import relocate_segment, two_opt_move
-from .model import Instance, Point, RunReport, Variant, manhattan, euclidean
+from .model import Instance, RunReport, Variant, euclidean, truck_times
 
 EXACT_TSP_LIMIT = 16
 
@@ -50,8 +50,7 @@ def solve_tsp(points, speed: float) -> TspResult:
         raise ValueError("need at least one point")
     if n == 1:
         return TspResult((0,), 0.0, True)
-    pts = [Point(float(x), float(y)) for x, y in points]  # numpy scalars would leak into the result
-    t = [[manhattan(a, b) / speed for b in pts] for a in pts]
+    t = truck_times(points, speed)  # Python floats, so no numpy scalar reaches the result
     if n <= EXACT_TSP_LIMIT:
         dp = _held_karp(t, _popcount_layers(n - 1))
         full = (1 << (n - 1)) - 1

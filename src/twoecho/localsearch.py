@@ -8,10 +8,11 @@ customer joining a stop goes onto its least-loaded drone, so below u
 customers it lands on a drone with no other nonzero trip, and the wait, the
 longest flight, is the largest load in the same floating-point value.
 
-Operators compute their move's objective change from these per-node loads
-and from edge times for tour changes, so a candidate is costed without
-re-evaluating the whole solution. Any accepted move strictly improves the
-objective by more than ``IMPROVE_EPS``.
+Each operator makes its first move that improves the objective by more
+than ``IMPROVE_EPS`` and returns the change, costed from these per-node loads
+and from edge times without re-evaluating the whole solution, or None.
+``DeltaCache.run`` accepts the moves, and leaves out the operators that need
+more drones at one stop than the fleet has.
 
 Scan order inside every operator is fixed (tour position, then customer
 index, then drone index), so the search is deterministic given its input.
@@ -50,6 +51,13 @@ MULTI_TRIP_OPERATORS = (
     "swap_assignment1",
     "zigzag_assignment",
 )
+
+# distinct drones at one stop without which an operator has no move
+DRONES_NEEDED = {
+    "relocate_drone_assignment1": 2, "swap_drone_assignment1": 2,
+    "relocate_drone_assignment2": 2, "swap_drone_assignment2": 2,
+    "triangle_drone_assignment": 3, "greedy_repack": 2, "zigzag_assignment": 2,
+}
 
 
 # Truck-tour moves, shared with the truck-only baseline. ``tour[0]`` is the
@@ -96,7 +104,7 @@ def two_opt_move(tour, t, eps) -> float | None:
 def _stop_operator(at_stop):
     """Make a within-stop operator from ``at_stop(cache, i)``, which returns
     the first improving (delta, moves) at stop ``i``, or None. The operator
-    makes the first such move over the stops in tour order.
+    makes the first such move over the stops in tour order, returning delta.
 
     ``at_stop`` reads only stop ``i``'s drones, loads and trips, which change
     only when ``DeltaCache._move`` bumps ``stamp[i]``. So a stop whose stamp
@@ -106,16 +114,16 @@ def _stop_operator(at_stop):
     name = at_stop.__name__
 
     @functools.wraps(at_stop)
-    def operator(self) -> bool:
+    def operator(self) -> float | None:
         clean, stamp = self.clean[name], self.stamp
         for i in self.tour[1:]:
             if clean[i] == stamp[i]:
                 continue
             found = at_stop(self, i)
             if found is not None:
-                return self._commit(name, *found)
+                return self._commit(*found)
             clean[i] = stamp[i]
-        return False
+        return None
 
     operator.at_stop = at_stop
     return operator
@@ -251,17 +259,16 @@ class DeltaCache:
         self.loads[i][l] = sum(map(trip[i].__getitem__, mine), 0.0)
         return h
 
-    def _commit(self, name, delta, moves) -> bool:
+    def _commit(self, delta, moves) -> float:
         """Make ``moves``, each (customer, node, drone), in order, re-rank
-        every node they touch and count the move."""
+        every node they touch and return ``delta``."""
         touched = set()
         for k, i, l in moves:
             touched.add(self._move(k, i, l))
             touched.add(i)
         for i in touched:
             self._refresh_node(i)
-        self._accept(name, delta)
-        return True
+        return delta
 
     def _leave_delta(self, i, k) -> float:
         """Wait change at node ``i`` when customer ``k`` leaves and the others stay.
@@ -290,21 +297,17 @@ class DeltaCache:
 
     # --- truck-tour operators ----------------------------------------------------
 
-    def _tour_moved(self, name, delta) -> bool:
+    def _tour_moved(self, delta) -> float | None:
         """Record a tour move that returned ``delta``, or nothing for None."""
-        if delta is None:
-            return False
-        self._bump_tour()
-        self._accept(name, delta)
-        return True
+        if delta is not None:
+            self._bump_tour()
+        return delta
 
-    def relocate_truck_node(self) -> bool:
+    def relocate_truck_node(self) -> float | None:
         """Move one visited node to a different tour position."""
-        return self._tour_moved(
-            "relocate_truck_node", relocate_segment(self.tour, self.t, 1, IMPROVE_EPS)
-        )
+        return self._tour_moved(relocate_segment(self.tour, self.t, 1, IMPROVE_EPS))
 
-    def swap_truck_node(self) -> bool:
+    def swap_truck_node(self) -> float | None:
         """Exchange the tour positions of two visited nodes."""
         t = self.t
         tour = self.tour
@@ -326,16 +329,16 @@ class DeltaCache:
                     )
                 if delta < -IMPROVE_EPS:
                     tour[a], tour[b] = y, x
-                    return self._tour_moved("swap_truck_node", delta)
-        return False
+                    return self._tour_moved(delta)
+        return None
 
-    def two_opt(self) -> bool:
+    def two_opt(self) -> float | None:
         """Remove two tour edges and reconnect with the segment reversed."""
-        return self._tour_moved("two_opt", two_opt_move(self.tour, self.t, IMPROVE_EPS))
+        return self._tour_moved(two_opt_move(self.tour, self.t, IMPROVE_EPS))
 
     # --- customer re-assignment (both variants) -----------------------------------
 
-    def swap_assignment1(self) -> bool:
+    def swap_assignment1(self) -> float | None:
         """Exchange the serving nodes of two customers."""
         reach = self.reach
         m = self.inst.m
@@ -371,10 +374,10 @@ class DeltaCache:
                 d2, l2 = self._replace_delta(i2, k2, k1)
                 delta = d1 + d2
                 if delta < -IMPROVE_EPS:
-                    return self._commit("swap_assignment1", delta, ((k2, i1, l1), (k1, i2, l2)))
-        return False
+                    return self._commit(delta, ((k2, i1, l1), (k1, i2, l2)))
+        return None
 
-    def re_assignment1(self) -> bool:
+    def re_assignment1(self) -> float | None:
         """Move one customer to another node; insert or drop stops as needed."""
         cap = self.cap
         trip = self.trip
@@ -405,10 +408,10 @@ class DeltaCache:
                     delta = rem + add + self._insertion_tour_delta(j, i, drop)
                     if delta >= -IMPROVE_EPS:
                         continue
-                return self._apply_re_assignment("re_assignment1", delta, i, j, (k,))
-        return False
+                return self._apply_re_assignment(delta, i, j, (k,))
+        return None
 
-    def re_assignment2(self) -> bool:
+    def re_assignment2(self) -> float | None:
         """Move two customers of one node together to another node (multi-trip)."""
         trip = self.trip
         wait = self.wait
@@ -461,9 +464,8 @@ class DeltaCache:
                             tour_delta = self._insertion_tour_delta(j, i, drop)
                         delta = rem + add + tour_delta
                         if delta < -IMPROVE_EPS:
-                            ks = (k1, k2)
-                            return self._apply_re_assignment("re_assignment2", delta, i, j, ks)
-        return False
+                            return self._apply_re_assignment(delta, i, j, (k1, k2))
+        return None
 
     def _insertion_tour_delta(self, j, i, drop) -> float:
         """Travel change from splicing unvisited ``j`` in at its best insertion,
@@ -482,10 +484,10 @@ class DeltaCache:
             ins = ins if ins > 0.0 else 0.0
         return ins + self._remove_node_tour_delta(i)
 
-    def _apply_re_assignment(self, name, delta, i, j, ks) -> bool:
+    def _apply_re_assignment(self, delta, i, j, ks) -> float:
         """Move customers ``ks`` from stop ``i`` to node ``j``, each onto its
         idlest drone, splicing ``j`` in at its best insertion and dropping
-        ``i`` once it is empty; then count the move."""
+        ``i`` once it is empty; return ``delta``."""
         for k in ks:
             self._move(k, j, self._idlest(j))
             self._refresh_node(j)
@@ -498,8 +500,7 @@ class DeltaCache:
             self.tour.remove(i)
         if spliced or dropped:
             self._bump_tour()
-        self._accept(name, delta)
-        return True
+        return delta
 
     # --- multi-trip drone operators -----------------------------------------------
     #
@@ -600,8 +601,6 @@ class DeltaCache:
     @_stop_operator
     def triangle_drone_assignment(self, i):
         """Rotate three customers around three different drones at one stop."""
-        if self.u < 3:
-            return None
         trip = self.trip[i]
         loads, wait = self.loads[i], self.wait[i]
         drones = self.drones[i]
@@ -646,7 +645,7 @@ class DeltaCache:
             return new_wait - self.wait[i], [(k, i, l) for k, l in placement.items()]
         return None
 
-    def zigzag_assignment(self) -> bool:
+    def zigzag_assignment(self) -> float | None:
         """Move a customer to another stop while a stop-mate takes over its drone."""
         reach = self.reach
         for i in self.tour[1:]:
@@ -677,30 +676,32 @@ class DeltaCache:
                         delta = di + dj
                         if delta < -IMPROVE_EPS:
                             moves = ((k2, i, l), (k, i2, self._idlest(i2)))
-                            return self._commit("zigzag_assignment", delta, moves)
-        return False
+                            return self._commit(delta, moves)
+        return None
 
     # --- orchestration --------------------------------------------------------------
 
     def run(self) -> None:
         """Apply every operator in its fixed order until none improves.
 
-        Each operator makes at most one improving move per call and returns
-        whether it made one, so it is called until it finds nothing. The
-        search state changes only through accepted moves, so an operator is
-        not called again until some move has been accepted since its last
-        call found nothing.
+        Operators that need more drones at one stop than the fleet has
+        (``DRONES_NEEDED``) cannot move and are left out. Each other one is
+        called until it returns None; each delta it returns is one move, which
+        is accepted here. As only accepted moves change the state, an operator
+        is skipped until a move has been accepted since it last found nothing.
         """
         names = SINGLE_TRIP_OPERATORS if self.variant is Variant.SINGLE else MULTI_TRIP_OPERATORS
-        operators = [getattr(self, name) for name in names]
+        operators = [(name, getattr(self, name)) for name in names
+                     if DRONES_NEEDED.get(name, 1) <= self.u]
         settled = [-1] * len(operators)  # self.moves when each operator last found nothing
         improved = True
         while improved:
             improved = False
-            for idx, op in enumerate(operators):
+            for idx, (name, op) in enumerate(operators):
                 if settled[idx] == self.moves:
                     continue
-                while op():
+                while (delta := op()) is not None:
+                    self._accept(name, delta)
                     improved = True
                 settled[idx] = self.moves
 

@@ -58,10 +58,6 @@ class Point(NamedTuple):
     y: float
 
 
-def manhattan(a: Point, b: Point) -> float:
-    return abs(a.x - b.x) + abs(a.y - b.y)
-
-
 def euclidean(a: Point, b: Point) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
@@ -165,17 +161,21 @@ class TimeMatrices:
     v_serve: tuple[tuple[int, ...], ...]
 
 
+def truck_times(points, speed: float) -> list[list[float]]:
+    """Manhattan truck hours between every two of ``points``, as nested lists."""
+    p = np.asarray(points, dtype=float)
+    return (np.abs(p[:, None, :] - p[None, :, :]).sum(axis=2) / speed).tolist()
+
+
 def build_time_matrices(inst: Instance) -> TimeMatrices:
     """Compute truck/drone time matrices and the reachability sets."""
-    tn = np.asarray(inst.truck_nodes, dtype=float)
-    t = np.abs(tn[:, None, :] - tn[None, :, :]).sum(axis=2) / inst.truck_speed
     trip, reach = _drone_reach(inst)
     rows = reach.tolist()
     customers, nodes = range(inst.m), range(inst.n)
     # each set goes through a list: tuples grown from the iterators left a
     # run about 2 MB larger at its peak
     return TimeMatrices(
-        t=t.tolist(),
+        t=truck_times(inst.truck_nodes, inst.truck_speed),
         trip=trip.tolist(),
         reach=rows,
         w_sets=tuple(tuple([*compress(customers, row)]) for row in rows),

@@ -103,18 +103,12 @@ def _harvest_operator(op_name, variant, rng, target=1000, max_rounds=4000):
         if sol is None:
             continue
         cache = DeltaCache(sol, inst, mats)
-        state = {"prev": evaluate(cache.export_solution(), inst, mats).objective}
-
-        def hook(name, delta):
-            nonlocal checked
+        prev = evaluate(cache.export_solution(), inst, mats).objective
+        while (delta := getattr(cache, op_name)()) is not None:
             cur = evaluate(cache.export_solution(), inst, mats).objective
-            assert cur == pytest.approx(state["prev"] + delta, abs=1e-9), name
-            state["prev"] = cur
+            assert cur == pytest.approx(prev + delta, abs=1e-9), op_name
+            prev = cur
             checked += 1
-
-        cache.on_move = hook
-        while getattr(cache, op_name)():
-            pass
     return checked
 
 

@@ -18,7 +18,7 @@ from twoecho import (
     generate_coincident,
     solve_tsp,
 )
-from twoecho.model import Point, manhattan
+from twoecho.model import truck_times
 
 DATA = Path(__file__).parent / "data" / "appendix_rows.csv"
 
@@ -55,8 +55,7 @@ def test_exact_tour_breaks_ties_like_the_reference(points):
     if len(points) == 1:
         assert (res.tour, res.objective) == ((0,), 0.0)
         return
-    pts = [Point(*p) for p in points]
-    t = [[manhattan(a, b) / 40.0 for b in pts] for a in pts]
+    t = truck_times(points, 40.0)
     cost, tour = reference_closed_tour(t, (1 << (len(points) - 1)) - 1)
     assert res.tour == tuple(tour)
     assert res.objective == cost

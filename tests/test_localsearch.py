@@ -16,7 +16,8 @@ from twoecho import (
     local_search,
     solve_exact,
 )
-from twoecho.localsearch import MULTI_TRIP_OPERATORS, SINGLE_TRIP_OPERATORS
+from twoecho import localsearch
+from twoecho.localsearch import DRONES_NEEDED, MULTI_TRIP_OPERATORS, SINGLE_TRIP_OPERATORS
 
 
 def _cache_for(truck, customers, assign, variant=Variant.SINGLE, drone_of=None, **kw):
@@ -81,15 +82,15 @@ def test_single_trip_stays_coherent_with_zero_trips():
 
 
 def test_every_operator_keeps_the_caches_coherent_after_each_move():
-    # every cache must equal a from-scratch recomputation after each accepted
-    # move, and each move that an operator reports must reach the hook once
+    # every cache must equal a from-scratch recomputation after each move
+    # that an operator makes and reports by returning its delta
     rng = np.random.default_rng(23)
     for variant, names in (
         (Variant.SINGLE, SINGLE_TRIP_OPERATORS),
         (Variant.MULTI, MULTI_TRIP_OPERATORS),
     ):
         for name in names:
-            hooked = accepted = rounds = 0
+            accepted = rounds = 0
             while accepted < 20:
                 rounds += 1
                 assert rounds <= 500, (variant, name, accepted)
@@ -99,17 +100,9 @@ def test_every_operator_keeps_the_caches_coherent_after_each_move():
                 if sol is None:
                     continue
                 cache = DeltaCache(sol, inst, mats)
-
-                def hook(op, delta):
-                    nonlocal hooked
-                    assert op == name
+                while getattr(cache, name)() is not None:
                     assert coherence_errors(cache) == [], (variant, name)
-                    hooked += 1
-
-                cache.on_move = hook
-                while getattr(cache, name)():
                     accepted += 1
-                assert hooked == accepted, (variant, name)
                 assert coherence_errors(cache) == [], (variant, name)
 
 
@@ -165,12 +158,9 @@ def test_truck_operators_reach_permutation_optimum():
         rng.shuffle(order)
         sol = Solution(Variant.SINGLE, [0] + list(order), {0: 1, 1: 2, 2: 3})
         cache = DeltaCache(sol, inst, mats)
-        moved = True
-        while moved:
-            moved = False
-            moved |= cache.relocate_truck_node()
-            moved |= cache.swap_truck_node()
-            moved |= cache.two_opt()
+        operators = (cache.relocate_truck_node, cache.swap_truck_node, cache.two_opt)
+        while any([op() is not None for op in operators]):
+            pass
         t = mats.t
         best = min(
             sum(t[a][b] for a, b in zip((0,) + perm, perm + (0,)))
@@ -204,9 +194,9 @@ def test_optimal_tour_is_fixpoint():
     mats = build_time_matrices(inst)
     sol = Solution(Variant.SINGLE, [0, 1, 2, 3], {0: 1, 1: 2, 2: 3})
     cache = DeltaCache(sol, inst, mats)
-    assert not cache.relocate_truck_node()
-    assert not cache.swap_truck_node()
-    assert not cache.two_opt()
+    assert cache.relocate_truck_node() is None
+    assert cache.swap_truck_node() is None
+    assert cache.two_opt() is None
 
 
 def test_reassign_sole_customer_drops_node():
@@ -221,13 +211,11 @@ def test_reassign_sole_customer_drops_node():
     sol = Solution(Variant.SINGLE, [0, 1, 2], {0: 1, 1: 2})
     before = evaluate(sol.copy(), inst, mats).objective
     cache = DeltaCache(sol, inst, mats)
-    deltas = []
-    cache.on_move = lambda name, delta: deltas.append((name, delta))
-    assert cache.re_assignment1()
+    delta = cache.re_assignment1()
     assert cache.tour == [0, 1]
     after = evaluate(cache.export_solution(), inst, mats).objective
-    assert deltas[0][1] == pytest.approx(-0.9, abs=1e-9)
-    assert after - before == pytest.approx(deltas[0][1], abs=1e-9)
+    assert delta == pytest.approx(-0.9, abs=1e-9)
+    assert after - before == pytest.approx(delta, abs=1e-9)
 
 
 def test_reassignment_without_target_makes_no_move():
@@ -235,8 +223,8 @@ def test_reassignment_without_target_makes_no_move():
     mats = build_time_matrices(inst)
     sol = Solution(Variant.SINGLE, [0, 1], {0: 1})
     cache = DeltaCache(sol, inst, mats)
-    assert not cache.re_assignment1()
-    assert not cache.swap_assignment1()
+    assert cache.re_assignment1() is None
+    assert cache.swap_assignment1() is None
 
 
 def test_greedy_repack_follows_shortest_first_rule():
@@ -252,7 +240,7 @@ def test_greedy_repack_follows_shortest_first_rule():
     sol = Solution(Variant.MULTI, [0, 1], {0: 1, 1: 1, 2: 1}, {0: 0, 1: 0, 2: 0})
     cache = DeltaCache(sol, inst, mats)
     assert cache.wait[1] == pytest.approx(1.9)
-    assert cache.greedy_repack()
+    assert cache.greedy_repack() == pytest.approx(1.3 - 1.9)
     assert cache.wait[1] == pytest.approx(1.3)
     assert brute_pack_makespan((0.5, 0.6, 0.8), 2) == pytest.approx(1.1)
 
@@ -268,10 +256,8 @@ def test_relocate_drone_moves_trip_off_busiest():
     # drone 0 carries 0.5 + 0.8 = 1.3, drone 1 carries 0.6
     sol = Solution(Variant.MULTI, [0, 1], {0: 1, 1: 1, 2: 1}, {0: 0, 1: 0, 2: 1})
     cache = DeltaCache(sol, inst, mats)
-    deltas = []
-    cache.on_move = lambda name, d: deltas.append(d)
-    assert cache.relocate_drone_assignment1()
-    assert all(d < -1e-9 for d in deltas)
+    delta = cache.relocate_drone_assignment1()
+    assert delta is not None and delta < -1e-9
     assert cache.wait[1] == pytest.approx(1.1)
 
 
@@ -346,6 +332,57 @@ def test_deltas_match_reevaluation_and_strict_improvement():
             cache.run()
             assert coherence_errors(cache) == []
     assert checked > 200
+
+
+def test_run_accepts_each_move_once():
+    # run() is the one place a move is accepted: the hook fires once per
+    # counted move, after the count, with the name of an operator of the variant
+    rng = np.random.default_rng(29)
+    total = 0
+    for _ in range(30):
+        inst = random_instance(rng, u_lo=1, u_hi=3, m_lo=5, m_hi=9)
+        mats = build_time_matrices(inst)
+        for variant, names in (
+            (Variant.SINGLE, SINGLE_TRIP_OPERATORS),
+            (Variant.MULTI, MULTI_TRIP_OPERATORS),
+        ):
+            sol = random_feasible_solution(inst, mats, variant, rng)
+            if sol is None:
+                continue
+            cache = DeltaCache(sol, inst, mats)
+            seen = []
+            cache.on_move = lambda name, delta: seen.append((name, cache.moves))
+            cache.run()
+            assert [count for _, count in seen] == list(range(1, cache.moves + 1))
+            assert {name for name, _ in seen} <= set(names)
+            total += cache.moves
+    assert total > 150
+
+
+@pytest.mark.parametrize("u", [1, 2])
+def test_operators_left_out_for_the_fleet_find_no_move(u, monkeypatch):
+    # a whole multi-trip search that keeps every operator accepts no move from
+    # those the fleet size leaves out, and ends where the gated search does
+    left_out = [name for name, need in DRONES_NEEDED.items() if need > u]
+    assert left_out
+    rng = np.random.default_rng(40 + u)
+    moves = 0
+    for rounds in range(1, 21):
+        inst = random_instance(rng, n_lo=4, n_hi=8, m_lo=6, m_hi=12, u_lo=u, u_hi=u)
+        mats = build_time_matrices(inst)
+        sol = random_feasible_solution(inst, mats, Variant.MULTI, rng)
+        with monkeypatch.context() as mp:
+            for name in left_out:
+                mp.setattr(DeltaCache, name, lambda cache: pytest.fail("called a left-out operator"))
+            gated = local_search(sol, inst, mats)
+        names = []
+        with monkeypatch.context() as mp:
+            mp.setattr(localsearch, "DRONES_NEEDED", {})
+            full = local_search(sol, inst, mats, on_move=lambda name, delta: names.append(name))
+        assert not set(left_out) & set(names), (u, rounds)
+        assert full.canonical_json() == gated.canonical_json(), (u, rounds)
+        moves += len(names)
+    assert moves > 100
 
 
 def test_local_search_deterministic():

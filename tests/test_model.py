@@ -18,7 +18,7 @@ from twoecho import (
     evaluate,
     generate_coincident,
 )
-from twoecho.model import TIME_EPS, instance_from_json_dict, instance_to_json_dict
+from twoecho.model import TIME_EPS, instance_from_json_dict, instance_to_json_dict, truck_times
 
 
 def test_truck_time_manhattan():
@@ -26,6 +26,19 @@ def test_truck_time_manhattan():
     mats = build_time_matrices(inst)
     assert mats.t[0][1] == pytest.approx((3 + 4) / 40)  # 0.175 h
     assert mats.t[0][1] == mats.t[1][0]
+
+
+def test_truck_times_equal_the_python_manhattan_loop():
+    # the one truck-time matrix, for GRASP and the TSP baseline alike, holds
+    # the same Python floats as summing the two coordinate gaps and dividing
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 40):
+        pts = list(rng.uniform(0, 30, size=(n, 2)))  # numpy scalars, as the generators give
+        for speed in (40.0, 37, 55.5):
+            ref = [[(abs(a[0] - b[0]) + abs(a[1] - b[1])) / speed for b in pts] for a in pts]
+            got = truck_times(pts, speed)
+            assert got == ref
+            assert all(type(x) is float for row in got for x in row)
 
 
 def test_drone_time_euclidean():
