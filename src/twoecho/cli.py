@@ -179,7 +179,8 @@ def _cmd_solve(args) -> int:
         f"{inst.name} [{cfg.variant.value}] obj={report.objective:.6f} h "
         f"(travel {report.travel_time:.6f} + wait {report.wait_time:.6f}), "
         f"stops={report.visited}, iters={report.iterations} "
-        f"({report.repeated_starts} repeated starts), {report.wall_time:.2f}s"
+        f"({report.repeated_starts} repeated starts), "
+        f"{report.retraced_searches} retraced searches, {report.wall_time:.2f}s"
     )
     if args.out:
         save_solution(best, args.out)

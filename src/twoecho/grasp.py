@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import os
 import time
-from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .construct import ConstructionFailed, construct_solution
-from .localsearch import local_search
+from .localsearch import local_search, state_key
 from .model import (
     Instance,
     RunReport,
@@ -70,15 +69,16 @@ def _run_stream(
 ):
     rng = np.random.default_rng(seed)
     best: Solution | None = None
-    done = failures = repeated = 0
+    done = failures = repeated = retraced = 0
     # Local search depends only on the tour and the two mappings, so a start
     # seen before reaches the same optimum, which cannot strictly beat best.
-    # A key is the bytes of one array: the tour, then each customer's node,
-    # then (multi-trip) each customer's drone. m and the variant are fixed
-    # within a run, so the key's length fixes the tour's and no separator is
-    # needed. Node and drone indices fit two bytes up to 65,536 of each.
+    # A start key is the tour, then each customer's node, then (multi-trip)
+    # each customer's drone. The same argument holds for the start of every
+    # later round of a search: local search adds those states to rounds and
+    # returns None when it reaches one already there. The two sets stay
+    # apart, as a single-trip start key can have the bytes of a round key.
     searched: set[bytes] = set()
-    code = "H" if max(inst.n, inst.num_drones) <= 1 << 16 else "L"
+    rounds: set[bytes] = set()
     customers = range(inst.m)
     start = time.perf_counter()
     for _ in range(iterations):
@@ -91,19 +91,22 @@ def _run_stream(
         except ConstructionFailed:
             failures += 1
             continue
-        packed = array(code, sol.tour)
-        packed.extend(map(sol.assign.__getitem__, customers))
-        if sol.drone_of is not None:
-            packed.extend(map(sol.drone_of.__getitem__, customers))
-        key = packed.tobytes()
+        key = state_key(
+            inst,
+            sol.tour,
+            map(sol.assign.__getitem__, customers),
+            () if sol.drone_of is None else map(sol.drone_of.__getitem__, customers),
+        )
         if key in searched:
             repeated += 1
             continue
         searched.add(key)
-        sol = local_search(sol, inst, mats, on_move=on_move)
-        if best is None or sol.objective < best.objective:
+        sol = local_search(sol, inst, mats, on_move=on_move, seen=rounds)
+        if sol is None:
+            retraced += 1
+        elif best is None or sol.objective < best.objective:
             best = sol
-    return best, done, failures, repeated
+    return best, done, failures, repeated, retraced
 
 
 def _worker(args):
@@ -125,9 +128,12 @@ def run(
     results merge by objective with a canonical-encoding tie-break, so a
     fixed thread count is deterministic too.
 
-    ``on_move(name, delta)`` is called for every accepted local-search move;
-    with more than one thread it runs in the workers, so it must be picklable
-    (a module-level function is).
+    ``on_move(name, delta)`` is called for every accepted local-search move.
+    A start that the stream has already searched makes no moves, and a search
+    that stops at a round start an earlier search reached (see
+    ``DeltaCache.run``) reports only the moves it made. With more than one
+    thread it runs in the workers, so it must be picklable (a module-level
+    function is).
     """
     if mats is None:
         mats = build_time_matrices(inst)
@@ -150,11 +156,12 @@ def run(
         with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
             streams = list(pool.map(_worker, jobs))
 
-    best, done, failures, repeated = None, 0, 0, 0
-    for sol, d, f, r in streams:
+    best, done, failures, repeated, retraced = None, 0, 0, 0, 0
+    for sol, d, f, r, s in streams:
         done += d
         failures += f
         repeated += r
+        retraced += s
         if sol is None:
             continue
         if best is None or (sol.objective, sol.canonical_json()) < (
@@ -180,5 +187,6 @@ def run(
         wall_time=time.perf_counter() - start,
         construction_failures=failures,
         repeated_starts=repeated,
+        retraced_searches=retraced,
     )
     return best, report

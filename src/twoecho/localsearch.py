@@ -21,6 +21,7 @@ index, then drone index), so the search is deterministic given its input.
 from __future__ import annotations
 
 import functools
+from array import array
 from bisect import bisect_right, insort
 from collections import defaultdict
 
@@ -101,6 +102,20 @@ def two_opt_move(tour, t, eps) -> float | None:
     return None
 
 
+def state_key(inst: Instance, tour, *columns) -> bytes:
+    """Pack a tour and per-customer index columns into one bytes key.
+
+    The key is the bytes of one array: the tour, then each column in turn.
+    Within one run m is fixed, so the key's length fixes the tour's and no
+    separator is needed. Node and drone indices take two bytes each up to
+    65,536 of each.
+    """
+    packed = array("H" if max(inst.n, inst.num_drones) <= 1 << 16 else "L", tour)
+    for column in columns:
+        packed.extend(column)
+    return packed.tobytes()
+
+
 def _stop_operator(at_stop):
     """Make a within-stop operator from ``at_stop(cache, i)``, which returns
     the first improving (delta, moves) at stop ``i``, or None. The operator
@@ -132,12 +147,13 @@ def _stop_operator(at_stop):
 class DeltaCache:
     """Mutable search state with the caches needed for constant-time deltas.
 
-    Per node, in lists indexed by node: its customers (``cust_at``), the
-    customers on each drone (``drones``), each drone's load (``loads``), the
-    largest load (``wait``), the second-largest (``second``, counted with
-    multiplicity, 0.0 with one drone) and the smallest (``min_load``). A node
-    outside the tour holds empty lists and 0.0, so a move onto it is costed
-    like a move onto a visited node.
+    Per customer, in lists indexed by customer: its node (``assign``) and
+    its drone there (``drone_of``). Per node, in lists indexed by node: its
+    customers (``cust_at``), the customers on each drone (``drones``), each
+    drone's load (``loads``), the largest load (``wait``), the second-largest
+    (``second``, counted with multiplicity, 0.0 with one drone) and the
+    smallest (``min_load``). A node outside the tour holds empty lists and
+    0.0, so a move onto it is costed like a move onto a visited node.
     A node holds at most ``cap`` customers: u in single-trip mode, every
     customer in multi-trip mode. Unvisited nodes get a lazily cached best
     insertion position that is invalidated by any tour change.
@@ -159,17 +175,20 @@ class DeltaCache:
         self.trip = mats.trip
         self.reach = mats.reach
 
-        n = inst.n
+        n, customers = inst.n, range(inst.m)
         self.tour = list(sol.tour)
-        self.assign = dict(sol.assign)
+        self.assign = list(map(sol.assign.__getitem__, customers))
         self.cust_at: list[list[int]] = [[] for _ in range(n)]
-        for k in sorted(self.assign):
-            self.cust_at[self.assign[k]].append(k)
+        for k, i in enumerate(self.assign):
+            self.cust_at[i].append(k)
         if sol.drone_of is None:
             # a single-trip start: each customer of a stop flies its own drone
-            self.drone_of = {k: l for custs in self.cust_at for l, k in enumerate(custs)}
+            self.drone_of = [0] * inst.m
+            for custs in self.cust_at:
+                for l, k in enumerate(custs):
+                    self.drone_of[k] = l
         else:
-            self.drone_of = dict(sol.drone_of)
+            self.drone_of = list(map(sol.drone_of.__getitem__, customers))
 
         self.drones = [[[] for _ in range(u)] for _ in range(n)]
         self.loads = [[0.0] * u for _ in range(n)]
@@ -681,7 +700,7 @@ class DeltaCache:
 
     # --- orchestration --------------------------------------------------------------
 
-    def run(self) -> None:
+    def run(self, seen=None) -> bool:
         """Apply every operator in its fixed order until none improves.
 
         Operators that need more drones at one stop than the fleet has
@@ -689,13 +708,20 @@ class DeltaCache:
         called until it returns None; each delta it returns is one move, which
         is accepted here. As only accepted moves change the state, an operator
         is skipped until a move has been accepted since it last found nothing.
+
+        So a round's moves depend only on the state at its start. With
+        ``seen``, a set of packed round-start states (``state_key``), every
+        round after the first looks its state up there first: a state already
+        in it began a round of an earlier search, so this search would end
+        at that search's optimum, and it stops and returns False. Otherwise
+        the state is added and the search goes on; True means it ended at a
+        local optimum.
         """
         names = SINGLE_TRIP_OPERATORS if self.variant is Variant.SINGLE else MULTI_TRIP_OPERATORS
         operators = [(name, getattr(self, name)) for name in names
                      if DRONES_NEEDED.get(name, 1) <= self.u]
         settled = [-1] * len(operators)  # self.moves when each operator last found nothing
-        improved = True
-        while improved:
+        while True:
             improved = False
             for idx, (name, op) in enumerate(operators):
                 if settled[idx] == self.moves:
@@ -704,20 +730,31 @@ class DeltaCache:
                     self._accept(name, delta)
                     improved = True
                 settled[idx] = self.moves
+            if not improved:
+                return True
+            if seen is not None:
+                key = state_key(self.inst, self.tour, self.assign, self.drone_of)
+                if key in seen:
+                    return False
+                seen.add(key)
 
     def export_solution(self) -> Solution:
         sol = Solution(
             variant=self.variant,
             tour=list(self.tour),
-            assign=dict(self.assign),
-            drone_of=dict(self.drone_of) if self.variant is Variant.MULTI else None,
+            assign=dict(enumerate(self.assign)),
+            drone_of=dict(enumerate(self.drone_of)) if self.variant is Variant.MULTI else None,
         )
         evaluate(sol, self.inst, self.mats)
         return sol
 
 
-def local_search(sol: Solution, inst: Instance, mats: TimeMatrices, on_move=None) -> Solution:
-    """Improve ``sol`` to a combined fixpoint of all operators for its variant."""
+def local_search(
+    sol: Solution, inst: Instance, mats: TimeMatrices, on_move=None, seen=None
+) -> Solution | None:
+    """Improve ``sol`` to a combined fixpoint of all operators for its variant,
+    or return None when a round starts in ``seen`` (see ``DeltaCache.run``)."""
     cache = DeltaCache(sol, inst, mats, on_move=on_move)
-    cache.run()
+    if not cache.run(seen):
+        return None
     return cache.export_solution()

@@ -389,6 +389,7 @@ class RunReport:
     tsp_objective: float | None = None
     construction_failures: int = 0
     repeated_starts: int = 0
+    retraced_searches: int = 0
 
     def __post_init__(self):
         if abs(self.objective - (self.wait_time + self.travel_time)) > 1e-9:

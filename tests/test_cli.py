@@ -249,9 +249,13 @@ def test_compare_tsp_writes_the_truck_speed_and_solves_the_tsp_once(tmp_path, mo
 def test_solve_reports_repeated_starts(tiny_instance, tmp_path, capsys):
     rep_path = tmp_path / "r.json"
     assert run_cli("solve", tiny_instance, "--iters", 200, "--report", rep_path) == 0
-    repeated = json.loads(rep_path.read_text())["repeated_starts"]
+    report = json.loads(rep_path.read_text())
+    repeated, retraced = report["repeated_starts"], report["retraced_searches"]
     assert repeated > 0
-    assert f"({repeated} repeated starts)" in capsys.readouterr().out
+    assert retraced > 0
+    out = capsys.readouterr().out
+    assert f"({repeated} repeated starts)" in out
+    assert f"{retraced} retraced searches" in out
 
 
 def test_bench_sizes_the_fleet_at_40_kmh(tmp_path):

@@ -1,3 +1,5 @@
+import gc
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import make_instance, random_instance
 from twoecho import (
+    DeltaCache,
     GenConfig,
     GraspConfig,
     NoSolutionError,
@@ -20,10 +23,12 @@ from twoecho import (
     generate_coincident,
     grasp,
     local_search,
+    localsearch,
     run,
 )
 from twoecho.construct import ConstructionFailed
 from twoecho.grasp import worker_seed
+from twoecho.localsearch import state_key
 
 
 def test_single_iteration_equals_construct_plus_local_search():
@@ -209,6 +214,16 @@ def test_repeated_starts_sum_over_workers():
     assert report.repeated_starts == sum(r.repeated_starts for r in per_worker) > 0
 
 
+def test_retraced_searches_sum_over_workers():
+    inst = _tiny_at_u_min(1)
+    _, report = run(inst, GraspConfig(variant=Variant.MULTI, n_max=200, seed=6, threads=2))
+    per_worker = [
+        run(inst, GraspConfig(variant=Variant.MULTI, n_max=100, seed=worker_seed(6, w)))[1]
+        for w in range(2)
+    ]
+    assert report.retraced_searches == sum(r.retraced_searches for r in per_worker) > 0
+
+
 def _search_every_start(inst, mats, variant, n_max, seed):
     """The multi-start loop without the repeated-start skip."""
     rng = np.random.default_rng(seed)
@@ -250,6 +265,58 @@ def test_skipping_repeated_starts_changes_no_result(
     assert report.objective == expected.objective
 
 
+@pytest.mark.parametrize("extra_drones", [0, 1])
+@pytest.mark.parametrize("variant", [Variant.SINGLE, Variant.MULTI])
+def test_stopping_retraced_searches_changes_no_result(variant, extra_drones):
+    inst = _tiny_at_u_min(1)
+    inst = inst.replaced(num_drones=inst.num_drones + extra_drones)
+    mats = build_time_matrices(inst)
+    expected = _search_every_start(inst, mats, variant, 300, 4)
+    best, report = run(inst, GraspConfig(variant=variant, n_max=300, seed=4), mats=mats)
+    assert report.retraced_searches > 0
+    assert best.canonical_json() == expected.canonical_json()
+    assert report.objective == expected.objective
+
+
+class _RoundLog(list):
+    """A ``seen`` that holds nothing: the search runs in full and logs the
+    key of every round start it looks up."""
+
+    def __contains__(self, key):
+        return False
+
+    add = list.append
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    inst_seed=st.integers(0, 10**6),
+    n_truck=st.integers(3, 6),
+    m_customers=st.integers(3, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_searches_sharing_a_round_start_end_alike(inst_seed, n_truck, m_customers, seed):
+    # the stop in DeltaCache.run relies on this: a round's moves depend only
+    # on the state at its start, so searches that share one end alike
+    base = _tiny_at_u_min(inst_seed, n_truck, m_customers)
+    mats = build_time_matrices(base)
+    for extra_drones in (0, 1):
+        inst = base.replaced(num_drones=base.num_drones + extra_drones)
+        for variant in (Variant.SINGLE, Variant.MULTI):
+            rng = np.random.default_rng(seed)
+            ends = {}
+            for _ in range(30):
+                try:
+                    sol = construct_solution(inst, mats, variant, rng, evaluated=False)
+                except ConstructionFailed:
+                    continue
+                cache, rounds = DeltaCache(sol, inst, mats), _RoundLog()
+                assert cache.run(rounds)
+                end = cache.export_solution().canonical_json()
+                for key in rounds:
+                    assert ends.setdefault(key, end) == end
+
+
 def test_start_keys_take_two_bytes_per_index(monkeypatch):
     # on coincident instances starts never repeat, so a long run keeps every
     # key: each must cost about two bytes per tour node, assignment and drone
@@ -266,11 +333,51 @@ def test_start_keys_take_two_bytes_per_index(monkeypatch):
     monkeypatch.setattr(grasp, "local_search", recording)
     tracemalloc.start()
     try:
-        _, _, failures, repeated = grasp._run_stream(inst, mats, Variant.MULTI, keys, 0, None)
+        _, _, failures, repeated, _ = grasp._run_stream(inst, mats, Variant.MULTI, keys, 0, None)
     finally:
         tracemalloc.stop()
     assert (failures, repeated, len(indices)) == (0, 0, keys)
-    # what grasp.py still holds: the keys, the set's table, the generator
-    held = snapshots[0].filter_traces([tracemalloc.Filter(True, grasp.__file__)])
+    # what grasp.py and localsearch.py (state_key packs them) still hold:
+    # the keys, the set's table, the generator
+    held = snapshots[0].filter_traces(
+        [tracemalloc.Filter(True, grasp.__file__), tracemalloc.Filter(True, localsearch.__file__)]
+    )
     per_key = sum(stat.size for stat in held.statistics("filename")) / keys
     assert per_key <= 96 + 2 * sum(indices) / keys
+
+
+def test_round_keys_take_two_bytes_per_index(monkeypatch):
+    # every round after a search's first keeps the key of its start state:
+    # each must cost about two bytes per tour node, assignment and drone
+    inst = generate_coincident(d=30.0, n_total=12, seed=3).replaced(drone_speed=60.0, num_drones=3)
+    mats = build_time_matrices(inst)
+    indices, kept = {}, []
+
+    def sizing(inst, tour, assign, drone_of):
+        key = state_key(inst, tour, assign, drone_of)
+        indices[key] = len(tour) + len(assign) + len(drone_of)
+        return key
+
+    def keeping(sol, inst, mats, on_move=None, seen=None):
+        kept.append(seen)
+        return local_search(sol, inst, mats, on_move=on_move, seen=seen)
+
+    monkeypatch.setattr(localsearch, "state_key", sizing)
+    monkeypatch.setattr(grasp, "local_search", keeping)
+    tracemalloc.start()
+    try:
+        grasp._run_stream(inst, mats, Variant.MULTI, 300, 0, None)
+        gc.collect()  # empties the free lists, which still hold the searches' lists
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    rounds = kept[0]
+    assert all(seen is rounds for seen in kept)
+    assert len(rounds) == len(indices) >= 300
+    # what grasp.py and localsearch.py still hold: the round set and its keys;
+    # the set's table, up to 128 bytes a key just after it grows, is left out
+    held = snapshot.filter_traces(
+        [tracemalloc.Filter(True, grasp.__file__), tracemalloc.Filter(True, localsearch.__file__)]
+    )
+    keys = sum(stat.size for stat in held.statistics("filename")) - sys.getsizeof(rounds)
+    assert keys / len(rounds) <= 48 + 2 * sum(indices.values()) / len(rounds)

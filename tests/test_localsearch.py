@@ -176,7 +176,7 @@ def test_truck_operators_keep_assignments():
     mats = build_time_matrices(inst)
     sol = random_feasible_solution(inst, mats, Variant.SINGLE, rng)
     cache = DeltaCache(sol, inst, mats)
-    before_assign = dict(cache.assign)
+    before_assign = list(cache.assign)
     before_nodes = set(cache.tour)
     cache.relocate_truck_node()
     cache.swap_truck_node()
