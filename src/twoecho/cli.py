@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trace",
         action="store_true",
-        help="log every accepted local-search move, once per distinct start",
+        help="log every accepted local-search move, up to where a search reaches "
+        "a state an earlier search passed",
     )
     p.add_argument("--out", help="solution JSON path")
     p.add_argument("--report", help="report JSON path")
@@ -178,8 +179,7 @@ def _cmd_solve(args) -> int:
     print(
         f"{inst.name} [{cfg.variant.value}] obj={report.objective:.6f} h "
         f"(travel {report.travel_time:.6f} + wait {report.wait_time:.6f}), "
-        f"stops={report.visited}, iters={report.iterations} "
-        f"({report.repeated_starts} repeated starts), "
+        f"stops={report.visited}, iters={report.iterations}, "
         f"{report.retraced_searches} retraced searches, {report.wall_time:.2f}s"
     )
     if args.out:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import ConstructionFailed, construct_solution
-from .localsearch import local_search, state_key
+from .localsearch import local_search
 from .model import (
     Instance,
     RunReport,
@@ -69,17 +69,10 @@ def _run_stream(
 ):
     rng = np.random.default_rng(seed)
     best: Solution | None = None
-    done = failures = repeated = retraced = 0
-    # Local search depends only on the tour and the two mappings, so a start
-    # seen before reaches the same optimum, which cannot strictly beat best.
-    # A start key is the tour, then each customer's node, then (multi-trip)
-    # each customer's drone. The same argument holds for the start of every
-    # later round of a search: local search adds those states to rounds and
-    # returns None when it reaches one already there. The two sets stay
-    # apart, as a single-trip start key can have the bytes of a round key.
-    searched: set[bytes] = set()
-    rounds: set[bytes] = set()
-    customers = range(inst.m)
+    done = failures = retraced = 0
+    # the states this stream's searches passed: a search that reaches one
+    # returns None, as it would end at an optimum already compared with best
+    seen: set[bytes] = set()
     start = time.perf_counter()
     for _ in range(iterations):
         if time_limit is not None and time.perf_counter() - start >= time_limit:
@@ -91,22 +84,12 @@ def _run_stream(
         except ConstructionFailed:
             failures += 1
             continue
-        key = state_key(
-            inst,
-            sol.tour,
-            map(sol.assign.__getitem__, customers),
-            () if sol.drone_of is None else map(sol.drone_of.__getitem__, customers),
-        )
-        if key in searched:
-            repeated += 1
-            continue
-        searched.add(key)
-        sol = local_search(sol, inst, mats, on_move=on_move, seen=rounds)
+        sol = local_search(sol, inst, mats, on_move=on_move, seen=seen)
         if sol is None:
             retraced += 1
         elif best is None or sol.objective < best.objective:
             best = sol
-    return best, done, failures, repeated, retraced
+    return best, done, failures, retraced
 
 
 def _worker(args):
@@ -129,11 +112,10 @@ def run(
     fixed thread count is deterministic too.
 
     ``on_move(name, delta)`` is called for every accepted local-search move.
-    A start that the stream has already searched makes no moves, and a search
-    that stops at a round start an earlier search reached (see
-    ``DeltaCache.run``) reports only the moves it made. With more than one
-    thread it runs in the workers, so it must be picklable (a module-level
-    function is).
+    A search that reaches a state an earlier search of its stream passed
+    stops there (see ``local_search``), so it reports only the moves it made
+    before, none if it starts at such a state. With more than one thread it
+    runs in the workers, so it must be picklable (a module-level function is).
     """
     if mats is None:
         mats = build_time_matrices(inst)
@@ -156,22 +138,13 @@ def run(
         with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
             streams = list(pool.map(_worker, jobs))
 
-    best, done, failures, repeated, retraced = None, 0, 0, 0, 0
-    for sol, d, f, r, s in streams:
-        done += d
-        failures += f
-        repeated += r
-        retraced += s
-        if sol is None:
-            continue
-        if best is None or (sol.objective, sol.canonical_json()) < (
-            best.objective,
-            best.canonical_json(),
-        ):
+    bests, done, failures, retraced = zip(*streams)
+    best = None
+    for sol in filter(None, bests):
+        if best is None or (sol.objective, sol.canonical_json()) < (best.objective, best.canonical_json()):
             best = sol
-
     if best is None:
-        raise NoSolutionError(failures)
+        raise NoSolutionError(sum(failures))
     ev = evaluate(best, inst, mats)
     report = RunReport(
         instance=inst.name,
@@ -183,10 +156,9 @@ def run(
         wait_time=ev.wait_time,
         travel_time=ev.travel_time,
         gap=None,
-        iterations=done,
+        iterations=sum(done),
         wall_time=time.perf_counter() - start,
-        construction_failures=failures,
-        repeated_starts=repeated,
-        retraced_searches=retraced,
+        construction_failures=sum(failures),
+        retraced_searches=sum(retraced),
     )
     return best, report

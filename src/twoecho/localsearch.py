@@ -102,17 +102,19 @@ def two_opt_move(tour, t, eps) -> float | None:
     return None
 
 
-def state_key(inst: Instance, tour, *columns) -> bytes:
-    """Pack a tour and per-customer index columns into one bytes key.
-
-    The key is the bytes of one array: the tour, then each column in turn.
-    Within one run m is fixed, so the key's length fixes the tour's and no
-    separator is needed. Node and drone indices take two bytes each up to
-    65,536 of each.
+def state_key(inst: Instance, variant: Variant, tour, assign, drone_of) -> bytes:
+    """Pack a search state into bytes: the tour, then each customer's node
+    (``assign``), then, in multi-trip only, each customer's drone
+    (``drone_of``), both indexed by customer, two bytes an index up to 65,536
+    nodes and drones. m is fixed within a run, so the length fixes the tour's.
+    A single-trip drone carries at most one nonzero trip, so its label changes
+    no load, wait or delta, only where a customer lands, and is left out.
     """
+    customers = range(inst.m)
     packed = array("H" if max(inst.n, inst.num_drones) <= 1 << 16 else "L", tour)
-    for column in columns:
-        packed.extend(column)
+    packed.extend(map(assign.__getitem__, customers))
+    if variant is Variant.MULTI:
+        packed.extend(map(drone_of.__getitem__, customers))
     return packed.tobytes()
 
 
@@ -181,8 +183,8 @@ class DeltaCache:
         self.cust_at: list[list[int]] = [[] for _ in range(n)]
         for k, i in enumerate(self.assign):
             self.cust_at[i].append(k)
-        if sol.drone_of is None:
-            # a single-trip start: each customer of a stop flies its own drone
+        if sol.variant is Variant.SINGLE:
+            # each customer of a stop flies its own drone, whatever labels sol holds
             self.drone_of = [0] * inst.m
             for custs in self.cust_at:
                 for l, k in enumerate(custs):
@@ -710,12 +712,9 @@ class DeltaCache:
         is skipped until a move has been accepted since it last found nothing.
 
         So a round's moves depend only on the state at its start. With
-        ``seen``, a set of packed round-start states (``state_key``), every
-        round after the first looks its state up there first: a state already
-        in it began a round of an earlier search, so this search would end
-        at that search's optimum, and it stops and returns False. Otherwise
-        the state is added and the search goes on; True means it ended at a
-        local optimum.
+        ``seen`` (see ``local_search``), every round after the first looks its
+        start state up there first, stops on a hit and returns False, and
+        adds it otherwise. True means the search ended at a local optimum.
         """
         names = SINGLE_TRIP_OPERATORS if self.variant is Variant.SINGLE else MULTI_TRIP_OPERATORS
         operators = [(name, getattr(self, name)) for name in names
@@ -733,7 +732,7 @@ class DeltaCache:
             if not improved:
                 return True
             if seen is not None:
-                key = state_key(self.inst, self.tour, self.assign, self.drone_of)
+                key = state_key(self.inst, self.variant, self.tour, self.assign, self.drone_of)
                 if key in seen:
                     return False
                 seen.add(key)
@@ -752,8 +751,19 @@ class DeltaCache:
 def local_search(
     sol: Solution, inst: Instance, mats: TimeMatrices, on_move=None, seen=None
 ) -> Solution | None:
-    """Improve ``sol`` to a combined fixpoint of all operators for its variant,
-    or return None when a round starts in ``seen`` (see ``DeltaCache.run``)."""
+    """Improve ``sol`` to a combined fixpoint of all operators for its variant.
+
+    ``seen`` holds the states (``state_key``) that earlier searches of a run
+    passed. A search that starts, or starts a round (see ``DeltaCache.run``),
+    at one of them would end at that search's optimum, so it stops and
+    returns None, before any cache is built for a visited start. Each state
+    looked up and not found is added.
+    """
+    if seen is not None:
+        key = state_key(inst, sol.variant, sol.tour, sol.assign, sol.drone_of)
+        if key in seen:
+            return None
+        seen.add(key)
     cache = DeltaCache(sol, inst, mats, on_move=on_move)
     if not cache.run(seen):
         return None

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from itertools import compress
@@ -183,6 +184,17 @@ def build_time_matrices(inst: Instance) -> TimeMatrices:
     )
 
 
+def _whole(value, name: str) -> int:
+    """Field ``name``'s index or count, read from a file: an integer or an
+    integral float. Anything else, a bool or a string too, raises ValueError,
+    so that a fractional value is never truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
+
+
 # --- solutions ---------------------------------------------------------------
 
 
@@ -230,9 +242,9 @@ class Solution:
         drone_of = data.get("drone_of")
         return cls(
             variant=Variant.parse(data["variant"]),
-            tour=[int(i) for i in data["tour"]],
-            assign={int(k): int(i) for k, i in data["assign"].items()},
-            drone_of=None if drone_of is None else {int(k): int(l) for k, l in drone_of.items()},
+            tour=[_whole(i, "tour") for i in data["tour"]],
+            assign={int(k): _whole(i, "assign") for k, i in data["assign"].items()},
+            drone_of=None if drone_of is None else {int(k): _whole(l, "drone_of") for k, l in drone_of.items()},
             waits={int(i): float(w) for i, w in data.get("waits", {}).items()},
             arrivals={int(i): float(a) for i, a in data.get("arrivals", {}).items()},
             objective=float(data.get("objective", math.nan)),
@@ -388,7 +400,6 @@ class RunReport:
     wall_time: float
     tsp_objective: float | None = None
     construction_failures: int = 0
-    repeated_starts: int = 0
     retraced_searches: int = 0
 
     def __post_init__(self):
@@ -436,7 +447,7 @@ def instance_from_json_dict(data: Mapping) -> Instance:
         truck_speed=float(data["truck_speed"]),
         drone_speed=float(data["drone_speed"]),
         endurance=float(data["endurance"]),
-        num_drones=int(data["num_drones"]),
+        num_drones=_whole(data["num_drones"], "num_drones"),
         meta=meta or None,
     )
 
@@ -460,8 +471,9 @@ def _load(path, parse):
             raise InputFileError(f"{path}: missing field {err}") from None
         except InfeasibleInstanceError as err:
             raise InfeasibleInstanceError(f"{path}: {err}") from None
-        except (AttributeError, TypeError, ValueError) as err:
-            # ValueError includes bad JSON and bad text encoding
+        except (AttributeError, OverflowError, TypeError, ValueError) as err:
+            # ValueError includes bad JSON and bad text encoding; OverflowError
+            # an integer too large for a float
             raise InputFileError(f"{path}: {err}") from None
 
 

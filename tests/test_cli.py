@@ -246,16 +246,15 @@ def test_compare_tsp_writes_the_truck_speed_and_solves_the_tsp_once(tmp_path, mo
     assert len(solved) == 1
 
 
-def test_solve_reports_repeated_starts(tiny_instance, tmp_path, capsys):
+def test_solve_reports_retraced_searches(tiny_instance, tmp_path, capsys):
     rep_path = tmp_path / "r.json"
     assert run_cli("solve", tiny_instance, "--iters", 200, "--report", rep_path) == 0
     report = json.loads(rep_path.read_text())
-    repeated, retraced = report["repeated_starts"], report["retraced_searches"]
-    assert repeated > 0
+    assert "repeated_starts" not in report
+    retraced = report["retraced_searches"]
     assert retraced > 0
     out = capsys.readouterr().out
-    assert f"({repeated} repeated starts)" in out
-    assert f"{retraced} retraced searches" in out
+    assert f"iters=200, {retraced} retraced searches" in out
 
 
 def test_bench_sizes_the_fleet_at_40_kmh(tmp_path):
@@ -381,6 +380,38 @@ def test_solution_file_that_is_not_an_object_is_one_error_line(tiny_instance, tm
     path = tmp_path / "sol.json"
     path.write_text("[1, 2]")
     _assert_file_error(capsys, path, "verify", tiny_instance, path)
+
+
+def test_verify_refuses_fractional_indices(tmp_path, capsys):
+    # truncated by int(), the stop + 0.9 and its customers at stop + 0.5 would pass verify
+    inst_path, sol_path = tmp_path / "i.json", tmp_path / "s.json"
+    run_cli("gen", "--d", 20, "--n", 5, "--m", 6, "--seed", 2, "--out", inst_path)
+    run_cli("solve", inst_path, "--variant", "m", "--iters", 40, "--seed", 1, "--out", sol_path)
+    assert run_cli("verify", inst_path, sol_path) == 0
+    data = json.loads(sol_path.read_text())
+    stop = data["tour"][1]
+    data["tour"][1] = stop + 0.9
+    data["assign"] = {k: i + 0.5 if i == stop else i for k, i in data["assign"].items()}
+    sol_path.write_text(json.dumps(data))
+    err = _assert_file_error(capsys, sol_path, "verify", inst_path, sol_path)
+    assert f"tour: expected an integer, got {stop + 0.9}" in err
+
+
+def test_instance_file_with_a_fractional_fleet_is_one_error_line(tiny_instance, tmp_path, capsys):
+    data = json.loads(tiny_instance.read_text())
+    data["num_drones"] = 2.9
+    path = tmp_path / "fleet.json"
+    path.write_text(json.dumps(data))
+    err = _assert_file_error(capsys, path, "solve", path, "--iters", 5)
+    assert "num_drones: expected an integer, got 2.9" in err
+
+
+def test_instance_file_with_an_integer_too_large_for_a_float_is_one_error_line(tiny_instance, tmp_path, capsys):
+    data = json.loads(tiny_instance.read_text())
+    data["d"] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert "too large to convert to float" in _assert_file_error(capsys, path, "solve", path, "--iters", 5)
 
 
 def test_non_positive_big_m_is_usage_error(tiny_instance, tmp_path, capsys):

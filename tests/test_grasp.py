@@ -172,46 +172,35 @@ def _tiny_at_u_min(seed, n_truck=4, m_customers=6):
     return inst.replaced(num_drones=compute_u_min(inst, build_time_matrices(inst)))
 
 
-def _start_key(sol):
-    drones = None if sol.drone_of is None else tuple(sorted(sol.drone_of.items()))
-    return tuple(sol.tour), tuple(sorted(sol.assign.items())), drones
-
-
 @pytest.mark.parametrize("variant", [Variant.SINGLE, Variant.MULTI])
 def test_local_search_runs_once_per_distinct_start(monkeypatch, variant):
-    searched = []
-
-    def counting(sol, *args, **kwargs):
-        searched.append(_start_key(sol))
-        return local_search(sol, *args, **kwargs)
-
-    monkeypatch.setattr(grasp, "local_search", counting)
+    # a start already in the stream's memo returns None before a DeltaCache is built
     inst = _tiny_at_u_min(1)
-    mats = build_time_matrices(inst)
-    _, report = run(inst, GraspConfig(variant=variant, n_max=300, seed=4), mats=mats)
-    assert report.repeated_starts > 0
-    assert len(searched) + report.repeated_starts == report.iterations - report.construction_failures
+    starts, built = [], []
 
-    # replay the run's constructions: every distinct start is searched once, in order
-    rng = np.random.default_rng(4)
-    distinct = {}
-    for _ in range(300):
-        try:
-            sol = construct_solution(inst, mats, variant, rng, evaluated=False)
-        except ConstructionFailed:
-            continue
-        distinct.setdefault(_start_key(sol), None)
-    assert searched == list(distinct)
+    def key(sol):
+        return state_key(inst, variant, sol.tour, sol.assign, sol.drone_of)
 
+    def looking(sol, *args, seen=None, **kwargs):
+        starts.append((key(sol), key(sol) in seen))
+        return local_search(sol, *args, seen=seen, **kwargs)
 
-def test_repeated_starts_sum_over_workers():
-    inst = _tiny_at_u_min(1)
-    _, report = run(inst, GraspConfig(variant=Variant.MULTI, n_max=200, seed=6, threads=2))
-    per_worker = [
-        run(inst, GraspConfig(variant=Variant.MULTI, n_max=100, seed=worker_seed(6, w)))[1]
-        for w in range(2)
-    ]
-    assert report.repeated_starts == sum(r.repeated_starts for r in per_worker) > 0
+    class Counting(DeltaCache):
+        def __init__(self, sol, *args, **kwargs):
+            built.append(key(sol))
+            super().__init__(sol, *args, **kwargs)
+
+    monkeypatch.setattr(grasp, "local_search", looking)
+    monkeypatch.setattr(localsearch, "DeltaCache", Counting)
+    _, report = run(inst, GraspConfig(variant=variant, n_max=300, seed=4))
+    assert len(starts) == report.iterations - report.construction_failures
+    assert built == [k for k, visited in starts if not visited]
+    # every start that repeats an earlier one is in the memo, and stops
+    earlier = set()
+    for k, visited in starts:
+        assert visited or k not in earlier
+        earlier.add(k)
+    assert 0 < len(starts) - len(built) <= report.retraced_searches
 
 
 def test_retraced_searches_sum_over_workers():
@@ -225,7 +214,7 @@ def test_retraced_searches_sum_over_workers():
 
 
 def _search_every_start(inst, mats, variant, n_max, seed):
-    """The multi-start loop without the repeated-start skip."""
+    """The multi-start loop without the visited-state memo: every search runs in full."""
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(n_max):
@@ -265,11 +254,7 @@ def test_skipping_repeated_starts_changes_no_result(
     assert report.objective == expected.objective
 
 
-@pytest.mark.parametrize("extra_drones", [0, 1])
-@pytest.mark.parametrize("variant", [Variant.SINGLE, Variant.MULTI])
-def test_stopping_retraced_searches_changes_no_result(variant, extra_drones):
-    inst = _tiny_at_u_min(1)
-    inst = inst.replaced(num_drones=inst.num_drones + extra_drones)
+def _assert_stopping_changes_no_result(inst, variant):
     mats = build_time_matrices(inst)
     expected = _search_every_start(inst, mats, variant, 300, 4)
     best, report = run(inst, GraspConfig(variant=variant, n_max=300, seed=4), mats=mats)
@@ -278,9 +263,21 @@ def test_stopping_retraced_searches_changes_no_result(variant, extra_drones):
     assert report.objective == expected.objective
 
 
-class _RoundLog(list):
+@pytest.mark.parametrize("extra_drones", [0, 1])
+@pytest.mark.parametrize("variant", [Variant.SINGLE, Variant.MULTI])
+def test_stopping_retraced_searches_changes_no_result(variant, extra_drones):
+    inst = _tiny_at_u_min(1)
+    _assert_stopping_changes_no_result(inst.replaced(num_drones=inst.num_drones + extra_drones), variant)
+
+
+def test_stopping_retraced_searches_with_one_drone_changes_no_result():
+    # with u = 1 the multi-trip search leaves out every operator that needs two drones
+    _assert_stopping_changes_no_result(_tiny_at_u_min(1).replaced(num_drones=1), Variant.MULTI)
+
+
+class _StateLog(list):
     """A ``seen`` that holds nothing: the search runs in full and logs the
-    key of every round start it looks up."""
+    key of every state it looks up, its start and each later round start."""
 
     def __contains__(self, key):
         return False
@@ -296,8 +293,9 @@ class _RoundLog(list):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_searches_sharing_a_round_start_end_alike(inst_seed, n_truck, m_customers, seed):
-    # the stop in DeltaCache.run relies on this: a round's moves depend only
-    # on the state at its start, so searches that share one end alike
+    # the memo relies on this: a round's moves depend only on the state at
+    # its start, with a single-trip state's drones left out, so searches
+    # that pass one state end alike
     base = _tiny_at_u_min(inst_seed, n_truck, m_customers)
     mats = build_time_matrices(base)
     for extra_drones in (0, 1):
@@ -310,74 +308,47 @@ def test_searches_sharing_a_round_start_end_alike(inst_seed, n_truck, m_customer
                     sol = construct_solution(inst, mats, variant, rng, evaluated=False)
                 except ConstructionFailed:
                     continue
-                cache, rounds = DeltaCache(sol, inst, mats), _RoundLog()
-                assert cache.run(rounds)
-                end = cache.export_solution().canonical_json()
-                for key in rounds:
+                states = _StateLog()
+                end = local_search(sol, inst, mats, seen=states).canonical_json()
+                for key in states:
                     assert ends.setdefault(key, end) == end
 
 
-def test_start_keys_take_two_bytes_per_index(monkeypatch):
-    # on coincident instances starts never repeat, so a long run keeps every
-    # key: each must cost about two bytes per tour node, assignment and drone
+@pytest.mark.parametrize("variant", [Variant.SINGLE, Variant.MULTI])
+def test_visited_states_take_two_bytes_per_index(monkeypatch, variant):
+    # the stream's memo keeps the key of every search's start and later round
+    # starts: each must cost about two bytes per tour node and customer, and
+    # in multi-trip two more per customer's drone
     inst = generate_coincident(d=30.0, n_total=12, seed=3).replaced(drone_speed=60.0, num_drones=3)
     mats = build_time_matrices(inst)
-    keys, indices, snapshots = 300, [], []
-
-    def recording(sol, *args, **kwargs):
-        indices.append(len(sol.tour) + 2 * inst.m)
-        if len(indices) == keys:
-            snapshots.append(tracemalloc.take_snapshot())
-        return sol
-
-    monkeypatch.setattr(grasp, "local_search", recording)
-    tracemalloc.start()
-    try:
-        _, _, failures, repeated, _ = grasp._run_stream(inst, mats, Variant.MULTI, keys, 0, None)
-    finally:
-        tracemalloc.stop()
-    assert (failures, repeated, len(indices)) == (0, 0, keys)
-    # what grasp.py and localsearch.py (state_key packs them) still hold:
-    # the keys, the set's table, the generator
-    held = snapshots[0].filter_traces(
-        [tracemalloc.Filter(True, grasp.__file__), tracemalloc.Filter(True, localsearch.__file__)]
-    )
-    per_key = sum(stat.size for stat in held.statistics("filename")) / keys
-    assert per_key <= 96 + 2 * sum(indices) / keys
-
-
-def test_round_keys_take_two_bytes_per_index(monkeypatch):
-    # every round after a search's first keeps the key of its start state:
-    # each must cost about two bytes per tour node, assignment and drone
-    inst = generate_coincident(d=30.0, n_total=12, seed=3).replaced(drone_speed=60.0, num_drones=3)
-    mats = build_time_matrices(inst)
+    columns = 2 if variant is Variant.MULTI else 1
     indices, kept = {}, []
 
-    def sizing(inst, tour, assign, drone_of):
-        key = state_key(inst, tour, assign, drone_of)
-        indices[key] = len(tour) + len(assign) + len(drone_of)
+    def sizing(inst, variant, tour, assign, drone_of):
+        key = state_key(inst, variant, tour, assign, drone_of)
+        indices[key] = len(tour) + columns * inst.m
         return key
 
-    def keeping(sol, inst, mats, on_move=None, seen=None):
+    def keeping(sol, *args, seen=None, **kwargs):
         kept.append(seen)
-        return local_search(sol, inst, mats, on_move=on_move, seen=seen)
+        return local_search(sol, *args, seen=seen, **kwargs)
 
     monkeypatch.setattr(localsearch, "state_key", sizing)
     monkeypatch.setattr(grasp, "local_search", keeping)
     tracemalloc.start()
     try:
-        grasp._run_stream(inst, mats, Variant.MULTI, 300, 0, None)
+        grasp._run_stream(inst, mats, variant, 300, 0, None)
         gc.collect()  # empties the free lists, which still hold the searches' lists
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    rounds = kept[0]
-    assert all(seen is rounds for seen in kept)
-    assert len(rounds) == len(indices) >= 300
-    # what grasp.py and localsearch.py still hold: the round set and its keys;
-    # the set's table, up to 128 bytes a key just after it grows, is left out
+    seen = kept[0]
+    assert all(memo is seen for memo in kept)
+    assert len(seen) == len(indices) >= 300
+    # what grasp.py and localsearch.py still hold: the set and its keys; the
+    # set's table, up to 128 bytes a key just after it grows, is left out
     held = snapshot.filter_traces(
         [tracemalloc.Filter(True, grasp.__file__), tracemalloc.Filter(True, localsearch.__file__)]
     )
-    keys = sum(stat.size for stat in held.statistics("filename")) - sys.getsizeof(rounds)
-    assert keys / len(rounds) <= 48 + 2 * sum(indices.values()) / len(rounds)
+    keys = sum(stat.size for stat in held.statistics("filename")) - sys.getsizeof(seen)
+    assert keys / len(seen) <= 48 + 2 * sum(indices.values()) / len(seen)

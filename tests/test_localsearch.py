@@ -1,4 +1,5 @@
 import itertools
+from array import array
 
 import numpy as np
 import pytest
@@ -273,6 +274,43 @@ def test_local_search_never_worse_and_feasible():
             out = local_search(sol, inst, mats)
             assert out.objective <= sol.objective + 1e-9
             assert check_feasibility(out, inst, mats) == []
+
+
+def test_single_trip_search_ignores_the_drone_labels_it_is_given():
+    # a single-trip Solution can carry a drone_of, as a loaded file keeps it;
+    # the search gives each customer of a stop its own drone whatever the
+    # labels, so stacking every customer on drone 0 changes no move
+    rng = np.random.default_rng(6)
+    searched = moved = 0
+    for _ in range(40):
+        inst = random_instance(rng, u_lo=2)
+        mats = build_time_matrices(inst)
+        sol = random_feasible_solution(inst, mats, Variant.SINGLE, rng)
+        if sol is None:
+            continue
+        stacked = Solution(Variant.SINGLE, list(sol.tour), dict(sol.assign), dict.fromkeys(sol.assign, 0))
+        logs = [], []
+        ends = [
+            local_search(start, inst, mats, on_move=lambda name, delta, log=log: log.append((name, delta)))
+            for start, log in zip((sol, stacked), logs)
+        ]
+        assert logs[0] == logs[1]
+        assert ends[1].canonical_json() == ends[0].canonical_json()
+        assert ends[1].objective <= evaluate(sol, inst, mats).objective + 1e-9
+        searched += 1
+        moved += bool(logs[0])
+    assert searched >= 20 and moved >= 10
+
+
+def test_state_key_holds_drones_in_multi_trip_only():
+    inst = make_instance([(0, 0), (10, 0)], [(10, 4), (10, 6)], num_drones=2)
+    tour, assign = [0, 1], {0: 1, 1: 1}
+    single = [localsearch.state_key(inst, Variant.SINGLE, tour, assign, drones)
+              for drones in ({0: 0, 1: 1}, {0: 1, 1: 0}, [0, 0])]
+    # the tour, then each customer's node, two bytes an index
+    assert single == [array("H", [0, 1, 1, 1]).tobytes()] * 3
+    multi = localsearch.state_key(inst, Variant.MULTI, tour, assign, [1, 0])
+    assert multi == array("H", [0, 1, 1, 1, 1, 0]).tobytes()
 
 
 def test_local_search_fixpoint_is_stable():

@@ -395,6 +395,36 @@ def test_solution_json_roundtrip():
     assert back.canonical_json() == sol.canonical_json()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tour", [0, 2.5, 1]),
+    ("tour", [0, True, 1]),
+    ("tour", [0, "2", 1]),
+    ("assign", {"0": 2, "1": 1.5}),
+    ("drone_of", {"0": 1, "1": 0.25}),
+])
+def test_solution_loader_refuses_non_integral_indices(field, value):
+    data = Solution(Variant.MULTI, [0, 2, 1], {0: 2, 1: 1}, {0: 1, 1: 0}).to_json_dict()
+    data[field] = value
+    with pytest.raises(ValueError, match=f"{field}: expected an integer"):
+        Solution.from_json_dict(data)
+
+
+def test_loaders_take_integral_floats():
+    data = Solution(Variant.MULTI, [0, 2, 1], {0: 2, 1: 1}, {0: 1, 1: 0}).to_json_dict()
+    data["tour"] = [0.0, 2.0, 1.0]
+    assert Solution.from_json_dict(data).tour == [0, 2, 1]
+    inst = instance_to_json_dict(make_instance([(0, 0), (1, 2)], [(1, 3)], num_drones=2))
+    assert instance_from_json_dict({**inst, "num_drones": 2.0}).num_drones == 2
+
+
+@pytest.mark.parametrize("value", [2.9, True, "2", math.inf])
+def test_instance_loader_refuses_a_non_integral_fleet(value):
+    data = instance_to_json_dict(make_instance([(0, 0), (1, 2)], [(1, 3)], num_drones=2))
+    data["num_drones"] = value
+    with pytest.raises(ValueError, match="num_drones: expected an integer"):
+        instance_from_json_dict(data)
+
+
 def test_instance_json_roundtrip_ignores_unknown_keys():
     inst = make_instance([(0, 0), (1, 2)], [(1, 3)], num_drones=2)
     data = instance_to_json_dict(inst)
