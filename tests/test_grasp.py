@@ -314,11 +314,11 @@ def test_searches_sharing_a_round_start_end_alike(inst_seed, n_truck, m_customer
                     assert ends.setdefault(key, end) == end
 
 
-@pytest.mark.parametrize("variant", [Variant.SINGLE, Variant.MULTI])
-def test_visited_states_take_two_bytes_per_index(monkeypatch, variant):
-    # the stream's memo keeps the key of every search's start and later round
-    # starts: each must cost about two bytes per tour node and customer, and
-    # in multi-trip two more per customer's drone
+def _memo_bytes(monkeypatch, variant, rounds):
+    """Run a 300-iteration stream and return the keys of its one memo, the
+    index count of each key and the bytes grasp.py and localsearch.py still
+    hold for the keys; with ``rounds`` False, searches look up no round
+    start, so the memo holds start keys only."""
     inst = generate_coincident(d=30.0, n_total=12, seed=3).replaced(drone_speed=60.0, num_drones=3)
     mats = build_time_matrices(inst)
     columns = 2 if variant is Variant.MULTI else 1
@@ -333,8 +333,11 @@ def test_visited_states_take_two_bytes_per_index(monkeypatch, variant):
         kept.append(seen)
         return local_search(sol, *args, seen=seen, **kwargs)
 
+    run_rounds = localsearch.DeltaCache.run
     monkeypatch.setattr(localsearch, "state_key", sizing)
     monkeypatch.setattr(grasp, "local_search", keeping)
+    if not rounds:
+        monkeypatch.setattr(localsearch.DeltaCache, "run", lambda cache, seen=None: run_rounds(cache))
     tracemalloc.start()
     try:
         grasp._run_stream(inst, mats, variant, 300, 0, None)
@@ -342,13 +345,33 @@ def test_visited_states_take_two_bytes_per_index(monkeypatch, variant):
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
+        monkeypatch.undo()
     seen = kept[0]
     assert all(memo is seen for memo in kept)
-    assert len(seen) == len(indices) >= 300
+    assert len(seen) == len(indices)
     # what grasp.py and localsearch.py still hold: the set and its keys; the
     # set's table, up to 128 bytes a key just after it grows, is left out
     held = snapshot.filter_traces(
         [tracemalloc.Filter(True, grasp.__file__), tracemalloc.Filter(True, localsearch.__file__)]
     )
     keys = sum(stat.size for stat in held.statistics("filename")) - sys.getsizeof(seen)
-    assert keys / len(seen) <= 48 + 2 * sum(indices.values()) / len(seen)
+    return seen, indices, keys
+
+
+def test_start_keys_take_two_bytes_per_index(monkeypatch):
+    # on coincident instances starts never repeat, so the memo keeps every
+    # start's key: each must cost about two bytes per tour node and customer,
+    # and in multi-trip two more per customer's drone
+    for variant in (Variant.SINGLE, Variant.MULTI):
+        seen, indices, keys = _memo_bytes(monkeypatch, variant, rounds=False)
+        assert len(seen) == 300
+        assert keys / len(seen) <= 48 + 2 * sum(indices.values()) / len(seen)
+
+
+def test_round_keys_take_two_bytes_per_index(monkeypatch):
+    # the memo also keeps the key of every later round start, in the same
+    # set and at the same cost as a start key
+    for variant in (Variant.SINGLE, Variant.MULTI):
+        seen, indices, keys = _memo_bytes(monkeypatch, variant, rounds=True)
+        assert len(seen) > 300
+        assert keys / len(seen) <= 48 + 2 * sum(indices.values()) / len(seen)
