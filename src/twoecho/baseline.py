@@ -54,8 +54,8 @@ def solve_tsp(points, speed: float) -> TspResult:
     if n <= EXACT_TSP_LIMIT:
         dp = _held_karp(t, _popcount_layers(n - 1))
         full = (1 << (n - 1)) - 1
-        cost, last = _closing(dp, t, [full])
-        return TspResult(tuple(_tour(dp, t, full, int(last[0]))), float(cost[0]), True)
+        cost = float(_closing(dp, t, [full])[0])
+        return TspResult(tuple(_tour(dp, t, full, cost)), cost, True)
     tour = _nearest_neighbor(t)
     while two_opt_move(tour, t, 1e-12) or any(
         relocate_segment(tour, t, seg, 1e-12) for seg in (1, 2, 3)

@@ -61,12 +61,19 @@ def _grasp_config(args, variant: Variant, time_limit: float | None = None) -> gr
     )
 
 
+def _values(text: str, parse) -> list:
+    values = [parse(x) for x in text.split(",") if x.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected one or more comma-separated values, got {text!r}")
+    return values
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    return _values(text, int)
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+    return _values(text, float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,15 +390,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except UsageError as err:
+    except (TwoEchoError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except TwoEchoError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, UsageError) else 1
 
 
 if __name__ == "__main__":

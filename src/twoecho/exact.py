@@ -157,33 +157,29 @@ def _held_karp(t, layers):
 
 
 def _closing(dp, t, masks):
-    """Cheapest return to the depot over each subset in ``masks``: (tour
-    costs, last bits) as arrays. Ties go to the lowest bit."""
-    back = np.array([row[0] for row in t[1:]], dtype=float)
-    close = dp[masks] + back
-    return close.min(axis=1), close.argmin(axis=1)
+    """Cheapest return to the depot over each subset in ``masks``: the tour
+    costs, as an array."""
+    close = dp[masks]  # a fancy index copies, so the arcs are added in place
+    close += [row[0] for row in t[1:]]
+    return close.min(axis=1)
 
 
-def _tour(dp, t, mask, last):
-    """The closed tour over ``mask`` that ends at node (last+1), read back from ``dp``.
+def _tour(dp, t, mask, cost):
+    """The closed tour over ``mask`` that costs ``cost``, read back from ``dp``.
 
-    Each step back takes the lowest bit whose cell plus the arc equals the
-    current cell exactly: ``_held_karp`` took its minimum over the same sums.
+    Each step back, the return to the depot included, takes the lowest bit
+    whose cell plus the arc into the current node equals the current cost
+    exactly: ``_held_karp`` and ``_closing`` took their minima over the same
+    sums, so ties break as ``argmin`` broke them. Cells outside the mask are
+    infinite, so only its bits can match.
     """
-    order = [last + 1]
-    row = dp[mask].tolist()
-    while mask & (mask - 1):
-        cost = row[last]
-        mask ^= 1 << last
+    back = [0]  # the tour from the depot backwards
+    while mask:
         row = dp[mask].tolist()
-        col = last + 1
-        last = next(
-            b for b in range(len(row)) if (mask >> b) & 1 and row[b] + t[b + 1][col] == cost
-        )
-        order.append(last + 1)
-    order.append(0)
-    order.reverse()
-    return order
+        b = next(b for b, cell in enumerate(row) if cell + t[b + 1][back[-1]] == cost)
+        cost, mask = row[b], mask ^ 1 << b
+        back.append(b + 1)
+    return [0] + back[:0:-1]
 
 
 # --- exhaustive search ------------------------------------------------------------
@@ -210,11 +206,6 @@ def solve_exact(
     multi = variant is Variant.MULTI
     cap = m if multi else u  # customers a stop may serve
 
-    if m == 0:
-        sol = Solution(variant, [0], {}, {} if multi else None)
-        evaluate(sol, inst, mats)
-        return ExactResult(sol, sol.objective, SearchProof(subsets=1, assignments=1))
-
     serve_bits = [sum(1 << (i - 1) for i in sites) for sites in mats.v_serve]
 
     trip = mats.trip
@@ -223,10 +214,10 @@ def solve_exact(
     dp = _held_karp(mats.t, layers)
     full = 1 << (n - 1)
     close_cost = np.full(full, np.inf)
-    close_last = np.zeros(full, dtype=np.intp)
+    close_cost[0] = 0.0  # the depot alone: the one subset when m == 0
     for layer in layers[1:]:
-        close_cost[layer], close_last[layer] = _closing(dp, mats.t, layer)
-    close_cost, close_last = close_cost.tolist(), close_last.tolist()
+        close_cost[layer] = _closing(dp, mats.t, layer)
+    close_cost = close_cost.tolist()
     best_obj = float("inf")
     best_payload = None
     subsets = 0
@@ -271,7 +262,7 @@ def solve_exact(
             here.pop()
             waits[i] = old_wait
 
-    for mask in range(1, full):
+    for mask in range(full):
         size = mask.bit_count()
         if size > m or m > cap * size or not all(bits & mask for bits in serve_bits):
             continue
@@ -289,7 +280,7 @@ def solve_exact(
         raise InfeasibleInstanceError("no feasible assignment exists at this fleet size")
 
     tour_mask, stops = best_payload
-    tour = _tour(dp, mats.t, tour_mask, close_last[tour_mask])
+    tour = _tour(dp, mats.t, tour_mask, close_cost[tour_mask])
     assignment = dict(enumerate(stops))
     drone_of = None
     if multi:
@@ -298,11 +289,9 @@ def solve_exact(
         for k, i in assignment.items():
             by_node.setdefault(i, []).append(k)
         for i, ks in by_node.items():
-            ks.sort(key=lambda k: (-trip[i][k], k))
-            packed = tuple(sorted((trip[i][k] for k in ks), reverse=True))
-            _, lanes = minmax_packing(packed, u)
-            for k, l in zip(ks, lanes):
-                drone_of[k] = l
+            ks.sort(key=lambda k: (-trip[i][k], k))  # longest trip first, as minmax_packing takes them
+            _, lanes = minmax_packing(tuple(trip[i][k] for k in ks), u)
+            drone_of.update(zip(ks, lanes))
     sol = Solution(variant, tour, assignment, drone_of)
     evaluate(sol, inst, mats)
     return ExactResult(sol, sol.objective, SearchProof(subsets=subsets, assignments=leaves))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from itertools import compress
@@ -195,6 +196,14 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
+def _key(key: str, name: str) -> int:
+    """A key of field ``name`` in the form ``str(k)`` that ``to_json_dict`` writes;
+    ``int()`` would fold "01", "+1", " 1" or "1_0" onto another index."""
+    if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+        raise ValueError(f"{name}: expected an integer key, got {key!r}")
+    return int(key)
+
+
 # --- solutions ---------------------------------------------------------------
 
 
@@ -243,10 +252,10 @@ class Solution:
         return cls(
             variant=Variant.parse(data["variant"]),
             tour=[_whole(i, "tour") for i in data["tour"]],
-            assign={int(k): _whole(i, "assign") for k, i in data["assign"].items()},
-            drone_of=None if drone_of is None else {int(k): _whole(l, "drone_of") for k, l in drone_of.items()},
-            waits={int(i): float(w) for i, w in data.get("waits", {}).items()},
-            arrivals={int(i): float(a) for i, a in data.get("arrivals", {}).items()},
+            assign={_key(k, "assign"): _whole(i, "assign") for k, i in data["assign"].items()},
+            drone_of=None if drone_of is None else {_key(k, "drone_of"): _whole(l, "drone_of") for k, l in drone_of.items()},
+            waits={_key(i, "waits"): float(w) for i, w in data.get("waits", {}).items()},
+            arrivals={_key(i, "arrivals"): float(a) for i, a in data.get("arrivals", {}).items()},
             objective=float(data.get("objective", math.nan)),
         )
 

@@ -306,6 +306,23 @@ def test_negative_generator_seed_is_named(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_empty_grids_are_usage_errors(tiny_instance, tmp_path, capsys):
+    coincident = tmp_path / "c.json"
+    run_cli("gen", "--d", 15, "--n", 6, "--seed", 5, "--coincident", "--out", coincident)
+    out = tmp_path / "grid.csv"
+    for command, option, value in (
+        ("compare-tsp", "--speeds", ""),
+        ("compare-tsp", "--fleet", ""),
+        ("bench", "--speeds", ","),
+        ("bench", "--u-offsets", ""),
+    ):
+        path = coincident if command == "compare-tsp" else tiny_instance
+        capsys.readouterr()
+        assert run_cli(command, path, option, value, "--iters", 5, "--out", out) == 2
+        assert f"argument {option}: expected one or more" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_out_of_range_values_are_usage_errors(tiny_instance, tmp_path, capsys):
     coincident = tmp_path / "c.json"
     run_cli("gen", "--d", 15, "--n", 6, "--seed", 5, "--coincident", "--out", coincident)
@@ -395,6 +412,20 @@ def test_verify_refuses_fractional_indices(tmp_path, capsys):
     sol_path.write_text(json.dumps(data))
     err = _assert_file_error(capsys, sol_path, "verify", inst_path, sol_path)
     assert f"tour: expected an integer, got {stop + 0.9}" in err
+
+
+def test_verify_refuses_aliased_customer_keys(tmp_path, capsys):
+    # read with int(), "00" would assign customer 0 twice, once to a node
+    # the tour never visits, and verify would pass
+    inst_path, sol_path = tmp_path / "i.json", tmp_path / "s.json"
+    run_cli("gen", "--d", 20, "--n", 5, "--m", 6, "--seed", 2, "--out", inst_path)
+    run_cli("solve", inst_path, "--variant", "m", "--iters", 40, "--seed", 1, "--out", sol_path)
+    data = json.loads(sol_path.read_text())
+    unvisited = min(set(range(1, 5)) - set(data["tour"]))
+    data["assign"] = {"00": unvisited, **data["assign"]}
+    sol_path.write_text(json.dumps(data))
+    err = _assert_file_error(capsys, sol_path, "verify", inst_path, sol_path)
+    assert "assign: expected an integer key, got '00'" in err
 
 
 def test_instance_file_with_a_fractional_fleet_is_one_error_line(tiny_instance, tmp_path, capsys):

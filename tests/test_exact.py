@@ -19,7 +19,7 @@ from twoecho import (
     solve_exact,
 )
 from twoecho import exact
-from twoecho.exact import minmax_packing
+from twoecho.exact import SearchProof, minmax_packing
 
 
 def test_minmax_packing_examples():
@@ -58,12 +58,20 @@ def test_exact_multi_trip_gives_each_flight_its_own_drone_when_the_fleet_allows(
 
 
 def test_no_customers():
-    inst = make_instance([(0, 0), (4, 4)], [])
-    mats = build_time_matrices(inst)
-    for variant in (Variant.SINGLE, Variant.MULTI):
-        res = solve_exact(inst, mats, variant)
-        assert res.objective == 0.0
-        assert res.solution.tour == [0]
+    # with no customer the one subset is the empty one: the depot alone
+    drone_of = {Variant.SINGLE: "null", Variant.MULTI: "{}"}
+    for truck in ([(0, 0)], [(0, 0), (4, 4)], [(0, 0), (4, 4), (1, 3)]):
+        inst = make_instance(truck, [])
+        mats = build_time_matrices(inst)
+        for variant in (Variant.SINGLE, Variant.MULTI):
+            res = solve_exact(inst, mats, variant)
+            assert res.objective == 0.0
+            assert res.solution.tour == [0]
+            assert res.proof == SearchProof(subsets=1, assignments=1)
+            assert res.solution.canonical_json() == (
+                '{"arrivals":{"0":0.0},"assign":{},"drone_of":%s,"objective":0.0,'
+                '"tour":[0],"variant":"%s","waits":{"0":0.0}}' % (drone_of[variant], variant.value)
+            ), (len(truck), variant)
 
 
 def test_single_customer_closed_form():

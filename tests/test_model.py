@@ -401,6 +401,12 @@ def test_solution_json_roundtrip():
     ("tour", [0, "2", 1]),
     ("assign", {"0": 2, "1": 1.5}),
     ("drone_of", {"0": 1, "1": 0.25}),
+    # keys int() would fold onto another index: "01", "+1" and " 1" onto 1, "1_0" onto 10
+    ("assign", {"0": 2, "01": 1}),
+    ("drone_of", {"0": 1, "+1": 0}),
+    ("waits", {"0": 0.0, " 1": 0.5}),
+    ("arrivals", {"0": 0.0, "1_0": 0.5}),
+    ("assign", {"0": 2, "-0": 1}),
 ])
 def test_solution_loader_refuses_non_integral_indices(field, value):
     data = Solution(Variant.MULTI, [0, 2, 1], {0: 2, 1: 1}, {0: 1, 1: 0}).to_json_dict()
