@@ -7,7 +7,7 @@ per drone per stop, or repeated flights.
 """
 
 from .baseline import TspResult, compare_mode, gap_percent, solve_tsp
-from .construct import ConstructionFailed, construct_solution
+from .construct import ConstructionFailed, ConstructionStart, construct_solution
 from .exact import (
     ExactLimits,
     ExactResult,
@@ -43,6 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConstructionFailed",
+    "ConstructionStart",
     "DeltaCache",
     "ExactLimits",
     "ExactResult",

@@ -27,15 +27,52 @@ class ConstructionFailed(TwoEchoError):
     """Single-trip capacity ran out before every customer found a serving node."""
 
 
+class ConstructionStart:
+    """The state before a construction's first commit, built once per
+    :class:`~twoecho.model.TimeMatrices` and shared by the constructions on it.
+
+    On the tour ``[0]`` each launch site has one insertion arc, so the first
+    round's insertion choice is fixed (``2 t[j][0]`` of truck time), and so
+    are the node weights, each customer's running sums over them and its
+    count of serving nodes. A :class:`ConstructionState` copies what it
+    edits and shares the running sums, which it replaces, never edits.
+    """
+
+    def __init__(self, mats: TimeMatrices):
+        t, trip, w_sets = mats.t, mats.trip, mats.w_sets
+        n, m = len(t), len(mats.v_serve)
+        # per launch site: insertion cost and weight of its one tour arc
+        self.arc_cost: dict[int, float] = {}
+        self.arc_w: dict[int, float] = {}
+        self.weights = [[0.0] * n for _ in range(m)]
+        for j in range(n):
+            if w_sets[j]:
+                c = t[j][0] + t[j][0] - t[0][0]
+                c = c if c > 0.0 else 0.0
+                self.arc_cost[j] = c
+                self.arc_w[j] = 1.0 / (c + EPSILON)
+                trips = trip[j]
+                for k in w_sets[j]:
+                    self.weights[k][j] = 1.0 / (trips[k] + c + EPSILON)
+        self.cums = [list(accumulate(row)) for row in self.weights]
+        self.sites = [len(sites) for sites in mats.v_serve]
+
+
 class ConstructionState:
     """Partial solution while customers are being added.
 
     Every round redraws each roulette choice, but few weights change between
     rounds: a commit changes the committed node's wait, and only a tour
     extension changes the insertion arcs and so the costs of the unvisited
-    nodes. The state keeps each weight and recomputes only those, so a round
-    costs time in proportion to the pending customers plus the changed
-    entries, at every instance size.
+    nodes. The state keeps each weight and recomputes only those. A round
+    without a tour extension rebuilds the running sums of the customers the
+    committed node can serve; the round after an extension re-chooses every
+    unvisited node's arc, reweighs those nodes and rebuilds every pending
+    customer's sums.
+
+    The state starts from a copy of a :class:`ConstructionStart` (one is
+    built when none is given), so the first round draws its step-1 numbers
+    but has nothing to choose or rebuild.
 
     Roulette sums run in index order (tour arc, node, pending customer), and
     each customer keeps a weight for every node, zero where the node cannot
@@ -47,7 +84,11 @@ class ConstructionState:
     longest flight, is its largest load.
     """
 
-    def __init__(self, inst: Instance, mats: TimeMatrices, variant: Variant):
+    def __init__(
+        self, inst: Instance, mats: TimeMatrices, variant: Variant, start: ConstructionStart | None = None
+    ):
+        if start is None:
+            start = ConstructionStart(mats)
         self.inst = inst
         self.mats = mats
         n, m, u = inst.n, inst.m, inst.num_drones
@@ -62,24 +103,18 @@ class ConstructionState:
         self.drone_of: dict[int, int] = {}
         self.pending = list(range(m))
         self.unserved = [True] * m
-        self.step_pos = [0] * n
+        # on the tour [0] every arc ends at position 1
+        self.step_pos = [1] * n
         self.tour_dirty = True
         # per customer: the weight of every node and their running sums,
         # None once a weight changed; and how many nodes may still serve it,
         # counted down for pending customers only, so a zero means stuck
-        self._weights = [[0.0] * n for _ in range(m)]
-        self._cums: list[list[float] | None] = [None] * m
-        self._sites = [len(sites) for sites in mats.v_serve]
+        self._weights = [row[:] for row in start.weights]
+        self._cums: list[list[float] | None] = start.cums[:]
+        self._sites = start.sites[:]
         # per unvisited launch site: insertion cost and weight of each tour arc
-        t = mats.t
-        self._arc_cost: dict[int, list[float]] = {}
-        self._arc_w: dict[int, list[float]] = {}
-        for j in range(n):
-            if mats.w_sets[j]:
-                c = t[j][0] + t[j][0] - t[0][0]
-                c = c if c > 0.0 else 0.0
-                self._arc_cost[j] = [c]
-                self._arc_w[j] = [1.0 / (c + EPSILON)]
+        self._arc_cost = {j: [c] for j, c in start.arc_cost.items()}
+        self._arc_w = {j: [w] for j, w in start.arc_w.items()}
 
     def draw(self, rng) -> tuple[int, int]:
         """Make one round's roulette choices; return ``(customer, node)``.
@@ -101,7 +136,8 @@ class ConstructionState:
             stuck = [k for k in pending if not self._sites[k]]
             raise ConstructionFailed(f"no serving node left for customers {stuck}")
         draws = rng.random(len(unvisited) + len(pending) + 1).tolist()
-        if unvisited:
+        # on the tour [0] each node has one arc, which the start has chosen
+        if unvisited and len(self.tour) > 1:
             self._choose_insertions(unvisited, draws)
         cums = self._cums
         for k in pending:
@@ -197,7 +233,8 @@ class ConstructionState:
 
 
 def construct_solution(
-    inst: Instance, mats: TimeMatrices, variant: Variant, rng, evaluated: bool = True
+    inst: Instance, mats: TimeMatrices, variant: Variant, rng, evaluated: bool = True,
+    start: ConstructionStart | None = None,
 ) -> Solution:
     """Build a feasible solution, or raise :class:`ConstructionFailed`.
 
@@ -208,8 +245,12 @@ def construct_solution(
     The solution comes back evaluated. With ``evaluated=False`` its
     ``waits``, ``arrivals`` and ``objective`` stay unset, for a caller that
     evaluates it later anyway, as the GRASP loop does after local search.
+
+    ``start`` is the :class:`ConstructionStart` of ``mats``, for a caller
+    that constructs many times, as a GRASP stream does; without it one is
+    built for this call.
     """
-    state = ConstructionState(inst, mats, variant)
+    state = ConstructionState(inst, mats, variant, start)
     while state.pending:
         state.commit(*state.draw(rng))
 

@@ -23,6 +23,7 @@ from .model import (
     TimeMatrices,
     TwoEchoError,
     Variant,
+    _key,
     build_time_matrices,
     evaluate,
 )
@@ -510,8 +511,9 @@ def import_milp_solution(
     """Rebuild a solution from a ``name value`` text file of solver variables.
 
     Lines may also use ``name = value``; ``#`` starts a comment. A variable
-    may be set once. The arc variables must trace a single depot-to-copy
-    path, and the resulting solution is validated before being returned.
+    may be set once, its indices written as ``str(i)`` writes them. The arc
+    variables must trace a single depot-to-copy path, and the resulting
+    solution is validated before being returned.
     """
     if mats is None:
         mats = build_time_matrices(inst)
@@ -541,8 +543,8 @@ def import_milp_solution(
         prefix, *fields = name.split("_")
         if (prefix, len(fields)) not in _VALUE_NAMES:
             raise MilpParseError(f"unrecognized variable name {name!r}")
-        try:
-            index = [int(f) for f in fields]
+        try:  # "03" or "+3" would name variable 3 a second time
+            index = [_key(f, name) for f in fields]
         except ValueError:
             raise MilpParseError(f"variable {name} has a non-integer index") from None
         if prefix == "z":

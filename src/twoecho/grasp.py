@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import ConstructionFailed, construct_solution
+from .construct import ConstructionFailed, ConstructionStart, construct_solution
 from .localsearch import local_search
 from .model import (
     Instance,
@@ -73,14 +73,16 @@ def _run_stream(
     # the states this stream's searches passed: a search that reaches one
     # returns None, as it would end at an optimum already compared with best
     seen: set[bytes] = set()
-    start = time.perf_counter()
+    # every construction starts from the tour [0]: build that once
+    start = ConstructionStart(mats)
+    began = time.perf_counter()
     for _ in range(iterations):
-        if time_limit is not None and time.perf_counter() - start >= time_limit:
+        if time_limit is not None and time.perf_counter() - began >= time_limit:
             break
         done += 1
         try:
             # local search only reads the tour and assignment, and evaluates its result
-            sol = construct_solution(inst, mats, variant, rng, evaluated=False)
+            sol = construct_solution(inst, mats, variant, rng, evaluated=False, start=start)
         except ConstructionFailed:
             failures += 1
             continue

@@ -5,11 +5,13 @@ from helpers import make_instance, random_instance
 from oracles import assignment_cost
 from twoecho import (
     ConstructionFailed,
+    ConstructionStart,
     Variant,
     build_time_matrices,
     check_feasibility,
     construct_solution,
     evaluate,
+    grasp,
 )
 from twoecho.construct import EPSILON, ConstructionState
 
@@ -219,3 +221,59 @@ def test_construct_objective_matches_reevaluation():
             continue
         fresh = evaluate(sol.copy(), inst, mats).objective
         assert sol.objective == pytest.approx(fresh, abs=1e-9)
+
+
+def _outcome(inst, mats, variant, rng, start=None):
+    try:
+        return construct_solution(inst, mats, variant, rng, start=start).canonical_json()
+    except ConstructionFailed:
+        return "failed"
+
+
+# (name, instance): a tight single-trip instance, where customer 0 fits only
+# at node 2, so a construction fails whenever customer 1 takes node 2 first;
+# no customer at all; and generated instances with one to three drones
+SHARED_START_CASES = [
+    ("tight", make_instance([(0, 0), (20, 0), (30, 0)], [(36, 0), (25, 0)], d=40)),
+    ("no customers", make_instance([(0, 0), (3, 3)], [])),
+] + [
+    (f"generated {seed}", random_instance(np.random.default_rng(seed), n_hi=8, m_hi=10))
+    for seed in range(4)
+]
+
+
+@pytest.mark.parametrize("variant", [Variant.SINGLE, Variant.MULTI])
+@pytest.mark.parametrize("name, inst", SHARED_START_CASES, ids=[c[0] for c in SHARED_START_CASES])
+def test_shared_start_gives_what_fresh_constructions_give(name, inst, variant):
+    # constructions from one start against constructions that each build
+    # their own, on twin generators: same solution or failure per attempt,
+    # same draws, and the start left as it was built
+    mats = build_time_matrices(inst)
+    start = ConstructionStart(mats)
+    shared, fresh = np.random.default_rng(7), np.random.default_rng(7)
+    outcomes = []
+    for _ in range(40):
+        outcomes.append(_outcome(inst, mats, variant, shared, start))
+        assert outcomes[-1] == _outcome(inst, mats, variant, fresh)
+    assert shared.random() == fresh.random()
+    assert vars(start) == vars(ConstructionStart(mats))
+    if name == "tight" and variant is Variant.SINGLE:
+        assert "failed" in outcomes and len(set(outcomes)) > 1
+    if name == "no customers":
+        assert start.weights == start.cums == start.sites == []
+
+
+@pytest.mark.parametrize("variant", [Variant.SINGLE, Variant.MULTI])
+def test_grasp_stream_builds_one_start_and_keeps_it(monkeypatch, variant):
+    inst = SHARED_START_CASES[0][1]
+    mats = build_time_matrices(inst)
+    starts = []
+
+    def recording(*args, start=None, **kwargs):
+        starts.append(start)
+        return construct_solution(*args, start=start, **kwargs)
+
+    monkeypatch.setattr(grasp, "construct_solution", recording)
+    grasp.run(inst, grasp.GraspConfig(variant=variant, n_max=20, seed=3), mats=mats)
+    assert len(starts) == 20 and all(s is starts[0] for s in starts)
+    assert vars(starts[0]) == vars(ConstructionStart(mats))

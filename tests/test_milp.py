@@ -14,6 +14,7 @@ from twoecho import (
     Variant,
     build_time_matrices,
     GenConfig,
+    compute_u_min,
     export_milp,
     export_umin_milp,
     generate,
@@ -273,3 +274,31 @@ def test_import_malformed_variable_names_the_variable(tmp_path, line, message):
     with pytest.raises(MilpParseError) as err:
         import_milp_solution(values, inst, mats)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("alias", ["z_03_0 0", "z_+3_0 0", "z_３_0 0", "x_00_2 0"])
+def test_import_refuses_an_index_spelled_two_ways(tmp_path, capsys, alias):
+    # int() reads "03", "+3" and a full-width 3 as 3, so each alias would set
+    # a variable the optimum already sets and pass the "set once" check
+    inst = generate(GenConfig(d=20, n_truck=4, m_customers=3, seed=4))
+    inst = inst.replaced(num_drones=compute_u_min(inst, build_time_matrices(inst)))
+    mats = build_time_matrices(inst)
+    best = solve_exact(inst, mats, Variant.SINGLE)
+    tour = best.solution.tour
+    arcs = [f"x_{i}_{j} 1" for i, j in zip(tour, tour[1:] + [inst.n])]
+    z = [f"z_{i}_{k} 1" for k, i in sorted(best.solution.assign.items())]
+    assert "z_3_0 1" in z and "x_0_2 1" in arcs
+    values = tmp_path / "values.sol"
+    values.write_text("\n".join(arcs + z) + "\n")
+    assert import_milp_solution(values, inst, mats).objective == pytest.approx(best.objective)
+
+    values.write_text("\n".join(arcs + z + [alias]) + "\n")
+    name = alias.split()[0]
+    with pytest.raises(MilpParseError) as err:
+        import_milp_solution(values, inst, mats)
+    assert str(err.value) == f"variable {name} has a non-integer index"
+    inst_path = tmp_path / "i.json"
+    save_instance(inst, inst_path)
+    capsys.readouterr()
+    assert main(["import-milp-solution", str(inst_path), str(values)]) == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
