@@ -21,10 +21,34 @@ from .model import (
 )
 
 EPSILON = 1e-6  # hours; keeps zero-cost candidates off the division by zero
+BLOCK = 512  # numbers per fetch of RandomBlocks; a block lives as long as its stream
 
 
 class ConstructionFailed(TwoEchoError):
     """Single-trip capacity ran out before every customer found a serving node."""
+
+
+class RandomBlocks:
+    """A generator's ``random`` numbers as Python floats, fetched ``block`` at
+    a time (0: exactly what each take needs). A PCG64 generator gives the same
+    doubles for ``random(a)`` then ``random(b)`` as for ``random(a + b)``, so
+    the numbers come in the generator's order, but it runs ahead by a block.
+    """
+
+    def __init__(self, rng, block: int = BLOCK):
+        self._rng, self._block = rng, block
+        self._buf: list[float] = []
+        self._at = 0
+
+    def take(self, n: int) -> list[float]:
+        """The next ``n`` numbers."""
+        at, buf = self._at, self._buf
+        end = at + n
+        if end > len(buf):
+            buf = self._buf = buf[at:] + self._rng.random(max(self._block, end - len(buf))).tolist()
+            at, end = 0, n
+        self._at = end
+        return buf[at:end]
 
 
 class ConstructionStart:
@@ -34,23 +58,24 @@ class ConstructionStart:
     On the tour ``[0]`` each launch site has one insertion arc, so the first
     round's insertion choice is fixed (``2 t[j][0]`` of truck time), and so
     are the node weights, each customer's running sums over them and its
-    count of serving nodes. A :class:`ConstructionState` copies what it
-    edits and shares the running sums, which it replaces, never edits.
+    count of serving nodes. A :class:`ConstructionState` copies the weight
+    rows and site counts; it shares the running sums, which it replaces, and
+    the one-arc lists until its first tour split gives every site new ones.
     """
 
     def __init__(self, mats: TimeMatrices):
         t, trip, w_sets = mats.t, mats.trip, mats.w_sets
         n, m = len(t), len(mats.v_serve)
         # per launch site: insertion cost and weight of its one tour arc
-        self.arc_cost: dict[int, float] = {}
-        self.arc_w: dict[int, float] = {}
+        self.arc_cost: dict[int, list[float]] = {}
+        self.arc_w: dict[int, list[float]] = {}
         self.weights = [[0.0] * n for _ in range(m)]
         for j in range(n):
             if w_sets[j]:
                 c = t[j][0] + t[j][0] - t[0][0]
                 c = c if c > 0.0 else 0.0
-                self.arc_cost[j] = c
-                self.arc_w[j] = 1.0 / (c + EPSILON)
+                self.arc_cost[j] = [c]
+                self.arc_w[j] = [1.0 / (c + EPSILON)]
                 trips = trip[j]
                 for k in w_sets[j]:
                     self.weights[k][j] = 1.0 / (trips[k] + c + EPSILON)
@@ -70,9 +95,10 @@ class ConstructionState:
     unvisited node's arc, reweighs those nodes and rebuilds every pending
     customer's sums.
 
-    The state starts from a copy of a :class:`ConstructionStart` (one is
-    built when none is given), so the first round draws its step-1 numbers
-    but has nothing to choose or rebuild.
+    The state starts from a :class:`ConstructionStart` (one is built when
+    none is given), so the first round draws its step-1 numbers but has
+    nothing to choose or rebuild. Until the first tour split it shares the
+    start's arc lists; unvisited nodes share one zero load row.
 
     Roulette sums run in index order (tour arc, node, pending customer), and
     each customer keeps a weight for every node, zero where the node cannot
@@ -95,10 +121,12 @@ class ConstructionState:
         self.cap = u if variant is Variant.SINGLE else m
         self.tour = [0]
         self.visited = [True] + [False] * (n - 1)
+        self.unvisited = list(range(1, n))
         # customers per node; loads cannot count them, as a customer at the
         # node itself flies a 0.0 h trip
         self.count = [0] * n
-        self.loads = [[0.0] * u for _ in range(n)]
+        # a node gets its own row when visited; the depot serves no one
+        self.loads = [[0.0] * u] * n
         self.assign: dict[int, int] = {}
         self.drone_of: dict[int, int] = {}
         self.pending = list(range(m))
@@ -113,29 +141,28 @@ class ConstructionState:
         self._cums: list[list[float] | None] = start.cums[:]
         self._sites = start.sites[:]
         # per unvisited launch site: insertion cost and weight of each tour arc
-        self._arc_cost = {j: [c] for j, c in start.arc_cost.items()}
-        self._arc_w = {j: [w] for j, w in start.arc_w.items()}
+        self._arc_cost = start.arc_cost.copy()
+        self._arc_w = start.arc_w.copy()
 
     def draw(self, rng) -> tuple[int, int]:
         """Make one round's roulette choices; return ``(customer, node)``.
 
-        The random numbers are drawn in this order, all in one call: one per
+        The numbers come from a :class:`RandomBlocks` or, exactly as many as
+        the round uses, from a numpy generator, in this order: one per
         unvisited node if the tour changed since the last round (step 1),
         then one per pending customer (step 2) and one more (step 3). When a
         pending customer has no serving node left, step 1's numbers are
         drawn and :class:`ConstructionFailed` is raised.
         """
-        unvisited = []
-        if self.tour_dirty:
-            self.tour_dirty = False
-            unvisited = [j for j, seen in enumerate(self.visited) if not seen]
+        rng = rng if isinstance(rng, RandomBlocks) else RandomBlocks(rng, 0)
+        unvisited = self.unvisited if self.tour_dirty else []
+        self.tour_dirty = False
         pending = self.pending
         if 0 in self._sites:
-            if unvisited:
-                rng.random(len(unvisited))
+            rng.take(len(unvisited))
             stuck = [k for k in pending if not self._sites[k]]
             raise ConstructionFailed(f"no serving node left for customers {stuck}")
-        draws = rng.random(len(unvisited) + len(pending) + 1).tolist()
+        draws = rng.take(len(unvisited) + len(pending) + 1)
         # on the tour [0] each node has one arc, which the start has chosen
         if unvisited and len(self.tour) > 1:
             self._choose_insertions(unvisited, draws)
@@ -149,7 +176,7 @@ class ConstructionState:
         ]
         # the customer roulette weighs each customer by 1 / (cost + EPSILON)
         # of its chosen node: the very weight that chose the node
-        cum3 = list(accumulate(self._weights[k][i] for k, i in zip(pending, nodes)))
+        cum3 = list(accumulate([self._weights[k][i] for k, i in zip(pending, nodes)]))
         j = bisect_left(cum3, cum3[-1] * (1.0 - draws[-1]))
         return pending[j], nodes[j]
 
@@ -202,16 +229,21 @@ class ConstructionState:
         p = tour[pos - 1]
         q = tour[pos] if pos < len(tour) else 0
         tp, tx = t[p][x], t[x][q]
-        del self._arc_cost[x], self._arc_w[x]
-        arc_w = self._arc_w
-        for j, costs in self._arc_cost.items():
+        arc_cost, arc_w = self._arc_cost, self._arc_w
+        del arc_cost[x], arc_w[x]
+        first = len(tour) == 1  # new lists, as the start owns the one-arc lists
+        for j, costs in arc_cost.items():
             tj = t[j]
             c1 = tj[p] + tj[x] - tp
             c1 = c1 if c1 > 0.0 else 0.0
             c2 = tj[x] + tj[q] - tx
             c2 = c2 if c2 > 0.0 else 0.0
-            costs[pos - 1:pos] = c1, c2
-            arc_w[j][pos - 1:pos] = 1.0 / (c1 + EPSILON), 1.0 / (c2 + EPSILON)
+            w1, w2 = 1.0 / (c1 + EPSILON), 1.0 / (c2 + EPSILON)
+            if first:
+                arc_cost[j], arc_w[j] = [c1, c2], [w1, w2]
+            else:
+                costs[pos - 1:pos] = c1, c2
+                arc_w[j][pos - 1:pos] = w1, w2
 
     def commit(self, k: int, i: int) -> None:
         """Assign customer ``k`` to node ``i``, visiting ``i`` first if needed."""
@@ -220,7 +252,9 @@ class ConstructionState:
             self._split_arc(pos, i)
             self.tour.insert(pos, i)
             self.visited[i] = True
+            self.unvisited.remove(i)
             self.tour_dirty = True
+            self.loads[i] = [0.0] * self.inst.num_drones
         loads = self.loads[i]
         l = loads.index(min(loads))
         loads[l] += self.mats.trip[i][k]
@@ -246,9 +280,9 @@ def construct_solution(
     ``waits``, ``arrivals`` and ``objective`` stay unset, for a caller that
     evaluates it later anyway, as the GRASP loop does after local search.
 
-    ``start`` is the :class:`ConstructionStart` of ``mats``, for a caller
-    that constructs many times, as a GRASP stream does; without it one is
-    built for this call.
+    ``start`` is the :class:`ConstructionStart` of ``mats``, and ``rng`` may
+    be a :class:`RandomBlocks`, for a caller that constructs many times, as a
+    GRASP stream does; without a start one is built for this call.
     """
     state = ConstructionState(inst, mats, variant, start)
     while state.pending:

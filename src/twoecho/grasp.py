@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import ConstructionFailed, ConstructionStart, construct_solution
+from .construct import ConstructionFailed, ConstructionStart, RandomBlocks, construct_solution
 from .localsearch import local_search
 from .model import (
     Instance,
@@ -67,7 +67,8 @@ def _run_stream(
     time_limit: float | None,
     on_move=None,
 ):
-    rng = np.random.default_rng(seed)
+    # the generator feeds construction only, so it may run a block ahead
+    rng = RandomBlocks(np.random.default_rng(seed))
     best: Solution | None = None
     done = failures = retraced = 0
     # the states this stream's searches passed: a search that reaches one

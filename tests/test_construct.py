@@ -13,7 +13,7 @@ from twoecho import (
     evaluate,
     grasp,
 )
-from twoecho.construct import EPSILON, ConstructionState
+from twoecho.construct import BLOCK, EPSILON, ConstructionState, RandomBlocks
 
 
 def _legs(t, tour):
@@ -277,3 +277,11 @@ def test_grasp_stream_builds_one_start_and_keeps_it(monkeypatch, variant):
     grasp.run(inst, grasp.GraspConfig(variant=variant, n_max=20, seed=3), mats=mats)
     assert len(starts) == 20 and all(s is starts[0] for s in starts)
     assert vars(starts[0]) == vars(ConstructionStart(mats))
+
+
+def test_random_blocks_serve_the_generator_numbers_in_order():
+    # takes at and across block edges, against per-take draws of a twin; the
+    # last three carry part of a block over into the next fetch
+    blocks, twin = RandomBlocks(np.random.default_rng(11)), np.random.default_rng(11)
+    for n in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK, 5, BLOCK - 1, 7):
+        assert blocks.take(n) == twin.random(n).tolist()
