@@ -227,7 +227,8 @@ def _cmd_export_milp(args) -> int:
     if big_m is None:
         cfg = grasp.GraspConfig(variant=variant, n_max=200, seed=0)
         _, report = grasp.run(inst, cfg, mats=mats)
-        big_m = report.objective
+        # a 0 h optimum has every arrival at 0, which any positive bound covers
+        big_m = report.objective or 1.0
         print(f"big-M from heuristic bound: {big_m:.6f} h")
     exact.export_milp(inst, mats, variant, big_m, args.out, literal_eq13=args.literal_eq13)
     print(f"wrote {variant.value}-trip model -> {args.out}")

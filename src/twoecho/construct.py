@@ -120,7 +120,6 @@ class ConstructionState:
         n, m, u = inst.n, inst.m, inst.num_drones
         self.cap = u if variant is Variant.SINGLE else m
         self.tour = [0]
-        self.visited = [True] + [False] * (n - 1)
         self.unvisited = list(range(1, n))
         # customers per node; loads cannot count them, as a customer at the
         # node itself flies a 0.0 h trip
@@ -247,11 +246,10 @@ class ConstructionState:
 
     def commit(self, k: int, i: int) -> None:
         """Assign customer ``k`` to node ``i``, visiting ``i`` first if needed."""
-        if not self.visited[i]:
+        if i in self._arc_cost:  # i serves k, so it is a launch site: unvisited
             pos = self.step_pos[i]
             self._split_arc(pos, i)
             self.tour.insert(pos, i)
-            self.visited[i] = True
             self.unvisited.remove(i)
             self.tour_dirty = True
             self.loads[i] = [0.0] * self.inst.num_drones

@@ -451,29 +451,20 @@ def export_milp(
     for i in range(1, n):
         lp.constraint(f"settle_{i}", [(1.0, f"a_{i}"), (-big_m, f"y_{i}")], "<=", 0.0)
 
-    if not multi:
-        if literal_eq13:
-            for i in range(n):
-                terms = [(1.0, f"s_{i}")]
-                terms += [(-trip[i][k], f"z_{i}_{k}") for k in w_sets[i]]
-                lp.constraint(f"wait_{i}", terms, ">=", 0.0)
-        else:
-            for i in range(1, n):
-                for k in w_sets[i]:
-                    lp.constraint(
-                        f"wait_{i}_{k}",
-                        [(1.0, f"s_{i}"), (-trip[i][k], f"z_{i}_{k}")],
-                        ">=",
-                        0.0,
-                    )
+    if literal_eq13 and not multi:
+        for i in range(n):
+            terms = [(1.0, f"s_{i}")]
+            terms += [(-trip[i][k], f"z_{i}_{k}") for k in w_sets[i]]
+            lp.constraint(f"wait_{i}", terms, ">=", 0.0)
     else:
-        for i in range(1, n):
-            if not w_sets[i]:
+        # a stop waits for each lane: each single flight, or each drone's flights
+        for i, ks in enumerate(w_sets):
+            if not ks:
                 continue
-            for l in range(u):
-                terms = [(1.0, f"s_{i}")]
-                terms += [(-trip[i][k], f"z_{l}_{i}_{k}") for k in w_sets[i]]
-                lp.constraint(f"wait_{i}_{l}", terms, ">=", 0.0)
+            waits = [(l, lane, ks) for l, lane in enumerate(lanes)] if multi else [(k, "", (k,)) for k in ks]
+            for name, lane, flown in waits:
+                terms = [(1.0, f"s_{i}")] + [(-trip[i][k], f"z_{lane}{i}_{k}") for k in flown]
+                lp.constraint(f"wait_{i}_{name}", terms, ">=", 0.0)
 
     return lp.render(path)
 

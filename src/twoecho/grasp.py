@@ -95,12 +95,6 @@ def _run_stream(
     return best, done, failures, retraced
 
 
-def _worker(args):
-    inst, variant, iterations, seed, time_limit, on_move = args
-    mats = build_time_matrices(inst)
-    return _run_stream(inst, mats, variant, iterations, seed, time_limit, on_move)
-
-
 def run(
     inst: Instance,
     cfg: GraspConfig,
@@ -132,14 +126,15 @@ def run(
             for w in range(cfg.threads)
         ]
         jobs = [
-            (inst, cfg.variant, shares[w], worker_seed(cfg.seed, w), cfg.time_limit, on_move)
+            (inst, mats, cfg.variant, shares[w], worker_seed(cfg.seed, w), cfg.time_limit, on_move)
             for w in range(cfg.threads)
             if shares[w] > 0
         ]
         # cfg.threads fixes the streams; the pool needs no more workers than
         # jobs or cores, and a fork pool starts every worker at once
         with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
-            streams = list(pool.map(_worker, jobs))
+            # map takes one iterable per argument: the jobs' columns
+            streams = list(pool.map(_run_stream, *zip(*jobs)))
 
     bests, done, failures, retraced = zip(*streams)
     best = None

@@ -298,9 +298,8 @@ def check_feasibility(sol: Solution, inst: Instance, mats: TimeMatrices) -> list
         return out
     visited = set(sol.tour)
 
-    for k in sol.assign:
-        if not 0 <= k < m:
-            out.append(Violation("unknown", f"assignment references unknown customer {k}"))
+    for what, keys in (("assignment", sol.assign), ("drone choice", sol.drone_of or {})):
+        out += [Violation("unknown", f"{what} references unknown customer {k}") for k in keys if not 0 <= k < m]
     for k in range(m):
         i = sol.assign.get(k)
         if i is None:

@@ -317,7 +317,7 @@ def assignment_cost(k, i, state, variant):
         delta = max(trip - wait, 0.0)
     else:
         delta = max(min(state.loads[i]) + trip - wait, 0.0)
-    if not state.visited[i]:
+    if i not in state.tour:
         delta += state._arc_cost[i][state.step_pos[i] - 1]
     return delta
 

@@ -127,6 +127,44 @@ def test_export_and_import_milp(tmp_path):
     assert run_cli("verify", inst_path, out) == 0
 
 
+def _lp_big_m(text):
+    """The big-M of an exported completion-time model: the bound of ``time_0_1: ... >= -M``."""
+    row = next(line for line in text.splitlines() if line.startswith(" time_0_1: "))
+    return -float(row.split(" >= ")[1])
+
+
+def test_export_milp_takes_big_m_from_the_heuristic(tmp_path, capsys):
+    from twoecho import build_time_matrices, solve_exact
+
+    inst_path, model = tmp_path / "i.json", tmp_path / "model.lp"
+    run_cli("gen", "--d", 20, "--n", 4, "--m", 5, "--seed", 11, "--num-drones", 3, "--out", inst_path)
+    inst = load_instance(inst_path)
+    for variant in Variant:
+        capsys.readouterr()
+        assert run_cli("export-milp", inst_path, "--model", variant.value[0], "--out", model) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("big-M from heuristic bound: ") and first.endswith(" h")
+        big_m = float(first.split(": ")[1][:-2])
+        # a heuristic objective bounds the optimum from above
+        assert big_m >= solve_exact(inst, build_time_matrices(inst), variant).objective - 1e-6
+        assert _lp_big_m(model.read_text()) == pytest.approx(big_m, abs=1e-6)
+
+
+def test_export_milp_without_customers_writes_a_positive_big_m(tmp_path, capsys):
+    # every arrival of the 0 h optimum is 0, so any positive bound is valid
+    inst_path, model = tmp_path / "e.json", tmp_path / "e.lp"
+    run_cli("gen", "--d", 10, "--n", 3, "--m", 0, "--seed", 1, "--out", inst_path)
+    for name in ("s", "m"):
+        capsys.readouterr()
+        assert run_cli("export-milp", inst_path, "--model", name, "--out", model) == 0
+        out = capsys.readouterr().out
+        big_m = float(out.splitlines()[0].split(": ")[1][:-2])
+        assert big_m > 0
+        text = model.read_text()
+        assert "Minimize" in text and text.rstrip().endswith("End")
+        assert _lp_big_m(text) == pytest.approx(big_m, abs=1e-6)
+
+
 def test_malformed_value_file_is_one_error_line(tmp_path, capsys):
     inst_path = tmp_path / "i.json"
     values = tmp_path / "values.sol"
@@ -168,6 +206,27 @@ def test_bench_row_count(tmp_path):
     )
     rows = list(csv.reader(out.open()))
     assert len(rows) == 1 + 2 * 2 * 2
+
+
+def test_bench_fills_the_exact_columns_up_to_the_exact_solver_limits(tmp_path):
+    # 5 and 9 truck nodes: the exact solver takes at most 8
+    for n in (5, 9):
+        run_cli("gen", "--d", 20, "--n", n, "--m", 5, "--seed", 3, "--out", tmp_path / f"i{n}.json")
+    out = tmp_path / "bench.csv"
+    assert (
+        run_cli("bench", tmp_path, "--iters", 30, "--speeds", "40,80", "--u-offsets", "0", "--out", out)
+        == 0
+    )
+    rows = list(csv.DictReader(out.open()))
+    assert sorted(row["Data"] for row in rows) == ["20-5-5"] * 2 + ["20-9-5"] * 2
+    for row in rows:
+        for v in ("s", "m"):
+            exact_cells = [row[f"exact_{v}_{col}"] for col in ("Time", "Obj_h", "Obj_min")]
+            if row["Data"] == "20-9-5":
+                assert exact_cells == ["", "", ""], row
+            else:
+                assert all(exact_cells), row
+                assert float(row[f"exact_{v}_Obj_h"]) <= float(row[f"grasp_{v}_Obj_h"]) + 1e-9, row
 
 
 def test_usage_errors_exit_2():
@@ -426,6 +485,19 @@ def test_verify_refuses_aliased_customer_keys(tmp_path, capsys):
     sol_path.write_text(json.dumps(data))
     err = _assert_file_error(capsys, sol_path, "verify", inst_path, sol_path)
     assert "assign: expected an integer key, got '00'" in err
+
+
+def test_verify_refuses_a_drone_choice_for_an_unknown_customer(tmp_path, capsys):
+    inst_path, sol_path = tmp_path / "i.json", tmp_path / "s.json"
+    run_cli("gen", "--d", 20, "--n", 5, "--m", 6, "--seed", 2, "--num-drones", 2, "--out", inst_path)
+    run_cli("solve", inst_path, "--variant", "m", "--iters", 40, "--seed", 1, "--out", sol_path)
+    data = json.loads(sol_path.read_text())
+    data["drone_of"]["99"] = 0
+    sol_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("verify", inst_path, sol_path) == 1
+    out = capsys.readouterr().out
+    assert out == "violation: drone choice references unknown customer 99\n"
 
 
 def test_instance_file_with_a_fractional_fleet_is_one_error_line(tiny_instance, tmp_path, capsys):

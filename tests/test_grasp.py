@@ -133,9 +133,10 @@ def test_parallel_merge_is_min_of_worker_runs():
     assert report.iterations == 30
 
 
-def test_pool_has_no_more_workers_than_jobs_or_cores(monkeypatch):
-    # a fork pool starts every worker at its first submit; this stand-in
-    # records the pool size and runs the jobs in this process
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stand in for the process pool: run the jobs in this process and
+    return the list of pool sizes asked for."""
     sizes = []
 
     class InlineExecutor:
@@ -148,10 +149,16 @@ def test_pool_has_no_more_workers_than_jobs_or_cores(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(grasp, "ProcessPoolExecutor", InlineExecutor)
+    return sizes
+
+
+def test_pool_has_no_more_workers_than_jobs_or_cores(monkeypatch, inline_pool):
+    # a fork pool starts every worker at its first submit
+    sizes = inline_pool
     inst = random_instance(np.random.default_rng(5), u_lo=2, u_hi=2)
     cfg = GraspConfig(variant=Variant.MULTI, n_max=10, seed=11, threads=1000)
     for cores, workers in ((4, 4), (64, 10), (None, 1)):
@@ -165,6 +172,21 @@ def test_pool_has_no_more_workers_than_jobs_or_cores(monkeypatch):
         for w in range(10)
     ]
     assert report.objective == min(singles)
+
+
+@pytest.mark.parametrize("variant", [Variant.SINGLE, Variant.MULTI])
+def test_pooled_streams_run_on_the_callers_matrices(monkeypatch, inline_pool, variant):
+    inst = random_instance(np.random.default_rng(5), u_lo=8, u_hi=8)
+    mats = build_time_matrices(inst)
+    cfg = GraspConfig(variant=variant, n_max=12, seed=3, threads=3)
+    expected, _ = run(inst, cfg, mats=mats)
+
+    def refuse(_inst):
+        raise AssertionError("a pooled run given matrices rebuilt them")
+
+    monkeypatch.setattr(grasp, "build_time_matrices", refuse)
+    best, _ = run(inst, cfg, mats=mats)
+    assert best.canonical_json() == expected.canonical_json()
 
 
 def _tiny_at_u_min(seed, n_truck=4, m_customers=6):

@@ -352,6 +352,18 @@ def test_each_violation_carries_its_kind():
         assert [v.kind for v in check_feasibility(sol, inst, mats)] == kinds, sol
 
 
+def test_drone_choices_for_unknown_customers_are_reported_in_either_variant():
+    inst = make_instance([(0, 0), (8, 0)], [(8, 4), (8, 6)], num_drones=2)
+    mats = build_time_matrices(inst)
+    for variant in Variant:
+        sol = Solution(variant, [0, 1], {0: 1, 1: 1}, {0: 0, 1: 1, 99: 0, -1: 1})
+        violations = check_feasibility(sol, inst, mats)
+        assert [(v.kind, str(v)) for v in violations] == [
+            ("unknown", "drone choice references unknown customer 99"),
+            ("unknown", "drone choice references unknown customer -1"),
+        ], variant
+
+
 def test_evaluate_independent_of_dict_order():
     inst = make_instance([(0, 0), (8, 0), (0, 8)], [(8, 6), (0, 6)], num_drones=2, endurance=1.0)
     mats = build_time_matrices(inst)
