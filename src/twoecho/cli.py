@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--model", default="s", help="s, m, or umin (minimum fleet size)")
     p.add_argument("--big-m", type=float, default=None, help="objective upper bound; defaults to a quick heuristic bound")
-    p.add_argument("--literal-eq13", action="store_true", help="emit the summed single-trip wait constraint")
+    p.add_argument("--literal-eq13", action="store_true", help="emit the summed single-trip wait constraint (--model s only)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("import-milp-solution", help="rebuild a solution from solver variable values")
@@ -215,6 +215,8 @@ def _cmd_exact(args) -> int:
 def _cmd_export_milp(args) -> int:
     with _usage():
         variant = None if args.model == "umin" else Variant.parse(args.model)
+        if args.literal_eq13 and variant is not Variant.SINGLE:
+            raise ValueError("--literal-eq13 applies to --model s only")
         if args.big_m is not None:
             exact.check_big_m(args.big_m)
     inst = load_instance(args.instance)

@@ -165,18 +165,20 @@ class ConstructionState:
         # on the tour [0] each node has one arc, which the start has chosen
         if unvisited and len(self.tour) > 1:
             self._choose_insertions(unvisited, draws)
-        cums = self._cums
-        for k in pending:
-            if cums[k] is None:
-                cums[k] = list(accumulate(self._weights[k]))
-        nodes = [
-            bisect_left(cums[k], cums[k][-1] * (1.0 - r))
-            for k, r in zip(pending, draws[len(unvisited):])
-        ]
         # the customer roulette weighs each customer by 1 / (cost + EPSILON)
-        # of its chosen node: the very weight that chose the node
-        cum3 = list(accumulate([self._weights[k][i] for k, i in zip(pending, nodes)]))
-        j = bisect_left(cum3, cum3[-1] * (1.0 - draws[-1]))
+        # of its chosen node: the very weight that chose the node; its
+        # running total, summed from 0.0, is what accumulate would give
+        cums, weights = self._cums, self._weights
+        nodes, cum3, total = [], [], 0.0
+        for k, r in zip(pending, draws[len(unvisited):]):
+            cum = cums[k]
+            if cum is None:
+                cum = cums[k] = list(accumulate(weights[k]))
+            i = bisect_left(cum, cum[-1] * (1.0 - r))
+            nodes.append(i)
+            total += weights[k][i]
+            cum3.append(total)
+        j = bisect_left(cum3, total * (1.0 - draws[-1]))
         return pending[j], nodes[j]
 
     def _choose_insertions(self, unvisited, draws) -> None:

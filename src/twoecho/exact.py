@@ -388,11 +388,14 @@ def export_milp(
     ``big_m`` must dominate every feasible completion time (a heuristic
     bound works). ``literal_eq13`` switches the single-trip wait constraints
     to the summed form for forensic comparison; the default constrains the
-    wait per customer, matching the parallel-flight semantics.
+    wait per customer, matching the parallel-flight semantics. The summed
+    form has no multi-trip counterpart, so it is refused there.
     """
     check_big_m(big_m)
     n, u = inst.n, inst.num_drones
     multi = variant is Variant.MULTI
+    if literal_eq13 and multi:
+        raise ValueError("literal_eq13 applies to the single-trip model only")
     lanes = [f"{l}_" for l in range(u)] if multi else [""]  # see _assignment_rows
     t = mats.t
     trip = mats.trip
@@ -451,7 +454,7 @@ def export_milp(
     for i in range(1, n):
         lp.constraint(f"settle_{i}", [(1.0, f"a_{i}"), (-big_m, f"y_{i}")], "<=", 0.0)
 
-    if literal_eq13 and not multi:
+    if literal_eq13:
         for i in range(n):
             terms = [(1.0, f"s_{i}")]
             terms += [(-trip[i][k], f"z_{i}_{k}") for k in w_sets[i]]

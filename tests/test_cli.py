@@ -530,6 +530,16 @@ def test_non_finite_big_m_is_usage_error(tiny_instance, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_literal_eq13_outside_single_trip_is_usage_error(tiny_instance, tmp_path, capsys):
+    out = tmp_path / "model.lp"
+    for model in ("m", "umin"):
+        _assert_usage_error(capsys, "export-milp", tiny_instance, "--model", model,
+                            "--big-m", 5, "--literal-eq13", "--out", out)
+        _assert_usage_error(capsys, "export-milp", tiny_instance, "--model", model,
+                            "--literal-eq13", "--out", out)
+    assert not out.exists()
+
+
 def test_exact_caps_below_one_are_usage_errors(tiny_instance, capsys):
     _assert_usage_error(capsys, "exact", tiny_instance, "--max-nodes", -3)
     _assert_usage_error(capsys, "exact", tiny_instance, "--max-customers", 0)

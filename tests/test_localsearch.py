@@ -3,6 +3,8 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_instance, operator_instance, random_feasible_solution, random_instance
 from oracles import brute_pack_makespan, coherence_errors
@@ -141,6 +143,53 @@ def test_within_stop_operators_skip_only_stops_without_moves():
         assert sorted(cache.clean) == sorted(within_stop)
         assert clean_stops() == len(within_stop) * (len(cache.tour) - 1)
     assert moves > 100 and marked > 50
+
+
+# customer offsets from the stop: tied trips at one distance, and a 0.0 h
+# trip for a customer at the stop itself
+STOP_OFFSETS = [(0, 0), (1, 0), (0, 1), (-1, 0), (2, 0), (0, -2), (1, 1), (3, 0)]
+
+
+@st.composite
+def stops_mostly_at_their_floor(draw):
+    """(u, customer offsets, drone of each customer): the longest trip's
+    customer first, then each customer on the first drone from a drawn one
+    on which it keeps the load within the longest trip, or else on the
+    drawn drone itself."""
+    u = draw(st.integers(2, 4))
+    offsets = draw(st.lists(st.sampled_from(STOP_OFFSETS), min_size=1, max_size=7))
+    prefs = draw(st.lists(st.integers(0, u - 1), min_size=len(offsets), max_size=len(offsets)))
+    return u, offsets, prefs
+
+
+@settings(max_examples=150, deadline=None)
+@given(stops_mostly_at_their_floor())
+def test_no_within_stop_move_at_a_stop_at_its_floor(stop):
+    # a stop whose wait is its longest trip cannot wait less however its
+    # customers are split over its drones
+    u, offsets, prefs = stop
+    inst = make_instance([(0, 0), (10, 0)], [(10 + dx, dy) for dx, dy in offsets],
+                         drone_speed=60.0, num_drones=u)
+    mats = build_time_matrices(inst)
+    trips = mats.trip[1]
+    longest = max(range(inst.m), key=trips.__getitem__)
+    loads, drone_of = [0.0] * u, {longest: prefs[longest]}
+    loads[prefs[longest]] = trips[longest]
+    for k in range(inst.m):
+        if k != longest:
+            fits = [l % u for l in range(prefs[k], prefs[k] + u)
+                    if loads[l % u] + trips[k] <= trips[longest]]
+            drone_of[k] = fits[0] if fits else prefs[k]
+            loads[drone_of[k]] += trips[k]
+    sol = Solution(Variant.MULTI, [0, 1], {k: 1 for k in range(inst.m)}, drone_of)
+    cache = DeltaCache(sol, inst, mats)
+    at_floor = cache.wait[1] == trips[longest]
+    assert cache._at_floor(1) == at_floor
+    if at_floor:
+        for name in MULTI_TRIP_OPERATORS:
+            at_stop = getattr(getattr(DeltaCache, name), "at_stop", None)
+            if at_stop is not None:
+                assert at_stop(cache, 1) is None, name
 
 
 def test_truck_operators_reach_permutation_optimum():

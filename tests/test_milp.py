@@ -122,6 +122,13 @@ def test_big_m_must_be_positive_and_finite(big_m):
             export_milp(inst, mats, variant, big_m=big_m)
 
 
+def test_literal_eq13_is_refused_for_the_multi_trip_model():
+    inst = make_instance([(0, 0), (8, 0)], [(8, 6)], num_drones=2)
+    mats = build_time_matrices(inst)
+    with pytest.raises(ValueError, match="single-trip"):
+        export_milp(inst, mats, Variant.MULTI, big_m=10.0, literal_eq13=True)
+
+
 def test_umin_model_has_integer_fleet_variable():
     inst = make_instance([(0, 0), (8, 0)], [(8, 6), (8, 2)], num_drones=1)
     mats = build_time_matrices(inst)

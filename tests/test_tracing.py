@@ -66,6 +66,8 @@ def test_traced_benchmark_ends_with_a_strict_json_result():
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout.splitlines()[-1], parse_constant=_refuse)
     assert result["correct"] is True
-    assert result["metrics"]
+    # every per-layer metric that BENCHMARK.json declares, and no other
+    declared = json.loads((BENCHMARKS.parent / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(result["metrics"]) == {metric["name"] for metric in declared}
     for name, metric in result["metrics"].items():
         assert math.isfinite(metric["value"]), name
