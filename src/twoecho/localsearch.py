@@ -10,7 +10,9 @@ longest flight, is the largest load in the same floating-point value.
 
 Each operator makes its first move that improves the objective by more
 than ``IMPROVE_EPS`` and returns the change, costed from these per-node loads
-and from edge times without re-evaluating the whole solution, or None.
+and from edge times without re-evaluating the whole solution, or None. It
+makes each customer move as the (customer, node, drone) triple it costed,
+through ``DeltaCache._commit``; a re-assignment adds only the tour edit.
 ``DeltaCache.run`` accepts the moves, and leaves out the operators that need
 more drones at one stop than the fleet has.
 
@@ -163,10 +165,11 @@ class DeltaCache:
     customer in multi-trip mode. Unvisited nodes get a lazily cached best
     insertion position that is invalidated by any tour change.
 
-    ``stamp[i]`` counts the customer moves onto and off node ``i``;
-    ``clean[name][i]`` is the stamp at which within-stop operator ``name``
-    last found no move at stop ``i`` (see ``_stop_operator``), and
-    ``floor[i]`` the stamp and result of ``_at_floor(i)`` when last tested.
+    ``_commit`` makes each customer move, a (customer, node, drone) triple;
+    re-assignments add only the tour edit. ``stamp[i]`` counts the moves onto
+    and off node ``i``; ``clean[name][i]`` is the stamp at which within-stop
+    operator ``name`` last found no move at stop ``i`` (see ``_stop_operator``),
+    and ``floor[i]`` the stamp and result of ``_at_floor(i)`` when last tested.
     """
 
     def __init__(self, sol: Solution, inst: Instance, mats: TimeMatrices, on_move=None):
@@ -453,16 +456,13 @@ class DeltaCache:
                     delta = rem + add + self._insertion_tour_delta(j, i, drop)
                     if delta >= -IMPROVE_EPS:
                         continue
-                return self._apply_re_assignment(delta, i, j, (k,))
+                return self._apply_re_assignment(delta, i, j, ((k, j, self._idlest(j)),))
         return None
 
     def re_assignment2(self) -> float | None:
         """Move two customers of one node together to another node (multi-trip)."""
-        trip = self.trip
-        wait = self.wait
-        reach = self.reach
-        cust_at = self.cust_at
-        serve = self.mats.v_serve
+        trip, wait, reach = self.trip, self.wait, self.reach
+        cust_at, serve = self.cust_at, self.mats.v_serve
         for i in self.tour[1:]:
             custs = cust_at[i]
             if len(custs) < 2:
@@ -487,8 +487,7 @@ class DeltaCache:
                     for j in serve[k1]:
                         if j == i or not reach[j][k2]:
                             continue
-                        tj1 = trip[j][k1]
-                        tj2 = trip[j][k2]
+                        tj1, tj2 = trip[j][k1], trip[j][k2]
                         # growth is at least the bigger trip on the idlest drone
                         lb = self.min_load[j] + (tj1 if tj1 > tj2 else tj2) - wait[j]
                         if lb < 0.0:
@@ -497,19 +496,19 @@ class DeltaCache:
                         if rem + lb + rem_tour >= -IMPROVE_EPS:
                             continue
                         loads = list(self.loads[j])
-                        l = loads.index(min(loads))
-                        loads[l] += tj1
-                        l = loads.index(min(loads))
-                        loads[l] += tj2
+                        lj1 = loads.index(min(loads))
+                        loads[lj1] += tj1
+                        lj2 = loads.index(min(loads))
+                        loads[lj2] += tj2
+                        # never negative: the loads only grew from a copy whose maximum is wait[j]
                         grow = max(loads) - wait[j]
-                        add = grow if grow > 0.0 else 0.0
                         if j in self._position:
                             tour_delta = rem_tour
                         else:
                             tour_delta = self._insertion_tour_delta(j, i, drop)
-                        delta = rem + add + tour_delta
+                        delta = rem + grow + tour_delta
                         if delta < -IMPROVE_EPS:
-                            return self._apply_re_assignment(delta, i, j, (k1, k2))
+                            return self._apply_re_assignment(delta, i, j, ((k1, j, lj1), (k2, j, lj2)))
         return None
 
     def _insertion_tour_delta(self, j, i, drop) -> float:
@@ -529,14 +528,11 @@ class DeltaCache:
             ins = ins if ins > 0.0 else 0.0
         return ins + self._remove_node_tour_delta(i)
 
-    def _apply_re_assignment(self, delta, i, j, ks) -> float:
-        """Move customers ``ks`` from stop ``i`` to node ``j``, each onto its
-        idlest drone, splicing ``j`` in at its best insertion and dropping
-        ``i`` once it is empty; return ``delta``."""
-        for k in ks:
-            self._move(k, j, self._idlest(j))
-            self._refresh_node(j)
-        self._refresh_node(i)
+    def _apply_re_assignment(self, delta, i, j, moves) -> float:
+        """Make ``moves``, each (customer of stop ``i``, ``j``, drone), through
+        ``_commit``, splice ``j`` in at its best insertion if it is off the
+        tour and drop ``i`` if it is left empty; return ``delta``."""
+        self._commit(delta, moves)
         spliced = j not in self._position
         if spliced:
             self.tour.insert(self.best_insertion(j)[1], j)
@@ -680,14 +676,14 @@ class DeltaCache:
             return None
         order = sorted(custs, key=lambda k: (trip[k], k))
         loads = [0.0] * self.u
-        placement = {}
+        moves = []
         for k in order:
             l = loads.index(min(loads))
-            placement[k] = l
+            moves.append((k, i, l))
             loads[l] += trip[k]
         new_wait = max(loads)
         if new_wait < self.wait[i] - IMPROVE_EPS:
-            return new_wait - self.wait[i], [(k, i, l) for k, l in placement.items()]
+            return new_wait - self.wait[i], moves
         return None
 
     def zigzag_assignment(self) -> float | None:

@@ -59,6 +59,126 @@ def test_delta_remove_with_tied_maximum():
     assert cache._leave_delta(1, 0) == pytest.approx(0.0)
 
 
+# Each test below builds a state in which one operator's improving moves
+# gain about 1e-6 h: more than IMPROVE_EPS (1e-9), but less than a gate with
+# a 1e-5 slack would let through.
+
+
+def test_relocate_drone_finds_a_small_gain_just_off_the_floor():
+    # trips 1.0, 0.3 and 1e-6 h on three drones: the 1.0 h and 1e-6 h trips
+    # share drone 0 and drone 2 is idle, so the wait is 1e-6 h above the
+    # longest trip and moving either trip off drone 0 reaches that floor
+    inst, mats, cache = _cache_for(
+        [(0, 0), (10, 0)],
+        [(10, 20), (10, 6), (10, 2e-5)],
+        {0: 1, 1: 1, 2: 1},
+        Variant.MULTI,
+        {0: 0, 1: 1, 2: 0},
+        endurance=2.0,
+        num_drones=3,
+    )
+    trip = mats.trip[1]
+    assert trip[0] == 1.0 and cache.wait[1] == trip[0] + trip[2]
+    assert not cache._at_floor(1)
+    delta = cache.relocate_drone_assignment1()
+    assert delta == pytest.approx(-1e-6, rel=1e-6)
+    assert cache.wait[1] == 1.0 and cache._at_floor(1)
+    assert coherence_errors(cache) == []
+
+
+def test_swap_assignment_finds_a_small_gain():
+    # node 1 flies customer 0 (0.5 h); node 2 flies customer 1 and, for its
+    # wait, customer 2 (1.2 h), which node 1 cannot reach. Customer 1 lies
+    # 2e-5 km closer to node 1 than customer 0 does, so swapping the two
+    # cuts node 1's wait by 1e-6 h and leaves node 2's at 1.2 h.
+    inst, mats, cache = _cache_for(
+        [(0, 0), (10, 0), (30, 0)],
+        [(10, 10), (10, 10 - 2e-5), (54, 0)],
+        {0: 1, 1: 2, 2: 2},
+        endurance=1.5,
+        num_drones=2,
+    )
+    assert not mats.reach[1][2] and mats.trip[2][0] < mats.trip[2][2]
+    before = evaluate(cache.export_solution(), inst, mats).objective
+    delta = cache.swap_assignment1()
+    assert delta == pytest.approx(-1e-6, rel=1e-6)
+    assert cache.assign == [2, 1, 2] and cache.wait[2] == mats.trip[2][2]
+    after = evaluate(cache.export_solution(), inst, mats).objective
+    assert after - before == pytest.approx(delta, abs=1e-12)
+
+
+def test_pair_re_assignment_finds_a_small_gain_and_keeps_the_drones_it_costed():
+    # node 1's drone 0 flies customers 0 and 1 (0.2 + 0.3 h) and drone 1
+    # customer 2 (0.5 h - 1e-6 h), which node 2 cannot reach. Moving the pair
+    # to node 2 (0.3 and 0.2 h from there), where customer 3 keeps drone 0
+    # busy for 0.7 h, cuts node 1's wait by 1e-6 h; the pair lands on the two
+    # idle drones, the first idlest in turn, and node 2's wait stays 0.7 h
+    inst, mats, cache = _cache_for(
+        [(0, 0), (10, 0), (20, 0)],
+        [(14, 0), (16, 0), (2e-5, 0), (20, 14)],
+        {0: 1, 1: 1, 2: 1, 3: 2},
+        Variant.MULTI,
+        {0: 0, 1: 0, 2: 1, 3: 0},
+        endurance=0.9,
+        num_drones=3,
+    )
+    assert not mats.reach[2][2]
+    before = evaluate(cache.export_solution(), inst, mats).objective
+    delta = cache.re_assignment2()
+    assert delta == pytest.approx(-1e-6, rel=1e-6)
+    assert cache.tour == [0, 1, 2] and cache.assign == [2, 2, 1, 2]
+    assert cache.drones[2] == [[3], [0], [1]]
+    assert cache.loads[2] == [0.7, mats.trip[2][0], mats.trip[2][1]]
+    after = evaluate(cache.export_solution(), inst, mats).objective
+    assert after - before == pytest.approx(delta, abs=1e-12)
+    assert coherence_errors(cache) == []
+
+
+def test_zigzag_finds_a_small_gain():
+    # node 1 flies customer 0 (0.3 h + 1e-6 h) on drone 0 and customer 1
+    # (0.3 h) on drone 1. Customer 0 moves to node 2's idle drone, as
+    # customer 2 keeps node 2 waiting 0.7 h, and customer 1 takes over drone
+    # 0: node 1's wait falls by 1e-6 h
+    inst, mats, cache = _cache_for(
+        [(0, 0), (10, 0), (20, 0)],
+        [(16 + 2e-5, 0), (10, 6), (20, 14)],
+        {0: 1, 1: 1, 2: 2},
+        Variant.MULTI,
+        {0: 0, 1: 1, 2: 0},
+        endurance=0.9,
+        num_drones=2,
+    )
+    before = evaluate(cache.export_solution(), inst, mats).objective
+    delta = cache.zigzag_assignment()
+    assert delta == pytest.approx(-1e-6, rel=1e-6)
+    assert cache.assign == [2, 1, 2] and cache.drone_of == [1, 0, 0]
+    assert cache.loads[1] == [mats.trip[1][1], 0.0]
+    after = evaluate(cache.export_solution(), inst, mats).objective
+    assert after - before == pytest.approx(delta, abs=1e-12)
+    assert coherence_errors(cache) == []
+
+
+def test_greedy_repack_finds_a_small_gain():
+    # trips 0.2, 0.2 h + 1e-6 h and 0.3 h on two drones, the last two sharing
+    # one: shortest first puts the 0.3 h trip beside the 0.2 h one and waits
+    # 1e-6 h less
+    inst, mats, cache = _cache_for(
+        [(0, 0), (10, 0)],
+        [(14, 0), (10, 4 + 2e-5), (10, -6)],
+        {0: 1, 1: 1, 2: 1},
+        Variant.MULTI,
+        {0: 1, 1: 0, 2: 0},
+        endurance=0.9,
+        num_drones=2,
+    )
+    trip = mats.trip[1]
+    assert cache.wait[1] == trip[1] + trip[2]
+    delta = cache.greedy_repack()
+    assert delta == pytest.approx(-1e-6, rel=1e-6)
+    assert cache.drones[1] == [[0, 2], [1]] and cache.wait[1] == trip[0] + trip[2]
+
+
+
 def test_single_trip_stays_coherent_with_zero_trips():
     # every node of a coincident instance serves its own customer with a
     # 0.0 h trip, so a single-trip drone can carry that customer beside a
@@ -499,3 +619,4 @@ def test_operators_are_looked_up_on_the_class(monkeypatch):
     mats = build_time_matrices(inst)
     local_search(random_feasible_solution(inst, mats, Variant.MULTI, rng), inst, mats)
     assert calls
+
