@@ -87,10 +87,11 @@ def _run_stream(
         except ConstructionFailed:
             failures += 1
             continue
-        sol = local_search(sol, inst, mats, on_move=on_move, seen=seen)
+        # an optimum not strictly below best comes back as best, unexported
+        sol = local_search(sol, inst, mats, on_move=on_move, seen=seen, best=best)
         if sol is None:
             retraced += 1
-        elif best is None or sol.objective < best.objective:
+        else:
             best = sol
     return best, done, failures, retraced
 

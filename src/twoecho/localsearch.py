@@ -16,6 +16,14 @@ through ``DeltaCache._commit``; a re-assignment adds only the tour edit.
 ``DeltaCache.run`` accepts the moves, and leaves out the operators that need
 more drones at one stop than the fleet has.
 
+The scans that move customers between stops skip a target stop on its
+slack, the room its idlest drone has below its wait, before costing the
+move (see ``DeltaCache``); a skipped target never gains. ``local_search``
+exports, and evaluates, only an optimum that beats the incumbent it is
+given, read from the cache in ``evaluate``'s order of additions. Together
+they cut a GRASP iteration by 7.6% on the truck-only comparison grid and
+5.5% on the criterion-8 shape (``BENCH_27.json``).
+
 Scan order inside every operator is fixed (tour position, then customer
 index, then drone index), so the search is deterministic given its input.
 """
@@ -30,6 +38,9 @@ from collections import defaultdict
 from .model import Instance, Solution, TimeMatrices, Variant, evaluate
 
 IMPROVE_EPS = 1e-9
+
+# the slack of a stop that takes no more customers: no trip gets under it
+FULL = float("-inf")
 
 SINGLE_TRIP_OPERATORS = (
     "relocate_truck_node",
@@ -170,6 +181,26 @@ class DeltaCache:
     and off node ``i``; ``clean[name][i]`` is the stamp at which within-stop
     operator ``name`` last found no move at stop ``i`` (see ``_stop_operator``),
     and ``floor[i]`` the stamp and result of ``_at_floor(i)`` when last tested.
+
+    ``slack[i]`` is ``wait[i] - min_load[i]``, what a trip put on node ``i``'s
+    idlest drone may take before the wait grows; ``FULL`` at a stop that
+    holds ``cap`` customers, and 0.0 off the tour. The cross-stop scans
+    (``re_assignment1``, ``re_assignment2``, ``zigzag_assignment``) each find
+    the change at the source first, ``-need``, and go on only when it gains
+    more than ``IMPROVE_EPS``. They then skip a target ``j`` for customer
+    ``k`` on one subtraction and one compare, the slack gate
+    ``trip[j][k] - slack[j] >= need``: there ``j``'s wait grows by at least
+    ``need`` (``need`` > 0, so the growth is not clamped at 0) and the tour
+    does not shrink below the source's change, so the move's delta is at
+    least 0, up to rounding. The exact test skips a delta at or above
+    ``-IMPROVE_EPS``, so the gate skips no target the exact test takes while
+    the rounding stays below ``IMPROVE_EPS``. Both sides are a few sums
+    and differences, each rounded by at most 2**-53 of its size, of waits,
+    trips and tour changes; with every such value below 1e4 h (instances
+    here run a few hours) the two differ by less than 1e-10 h. So every
+    decision, and every float, is the one without the gate. On the
+    criterion-8 shape and the truck-only comparison grid the gates skip
+    94% and 98% of ``re_assignment2``'s targets (``BENCH_27.json``).
     """
 
     def __init__(self, sol: Solution, inst: Instance, mats: TimeMatrices, on_move=None):
@@ -204,6 +235,7 @@ class DeltaCache:
         self.wait = [0.0] * n
         self.second = [0.0] * n
         self.min_load = [0.0] * n
+        self.slack = [0.0] * n
         drone_of, trip = self.drone_of, self.trip
         for i in self.tour:
             row, drones, loads = trip[i], self.drones[i], self.loads[i]
@@ -228,9 +260,10 @@ class DeltaCache:
     def _refresh_node(self, i):
         """Re-rank node ``i``'s drone loads after some of them changed."""
         ranked = sorted(self.loads[i])
-        self.wait[i] = ranked[-1]
+        self.wait[i] = wait = ranked[-1]
         self.second[i] = ranked[-2] if self.u > 1 else 0.0
-        self.min_load[i] = ranked[0]
+        self.min_load[i] = least = ranked[0]
+        self.slack[i] = wait - least if len(self.cust_at[i]) < self.cap else FULL
 
     def _at_floor(self, i) -> bool:
         """Whether stop ``i`` waits only for its longest trip. Every load is
@@ -427,10 +460,10 @@ class DeltaCache:
 
     def re_assignment1(self) -> float | None:
         """Move one customer to another node; insert or drop stops as needed."""
-        cap = self.cap
         trip = self.trip
         wait = self.wait
         min_load = self.min_load
+        slack = self.slack
         cust_at = self.cust_at
         serve = self.mats.v_serve
         for k in range(self.inst.m):
@@ -440,13 +473,14 @@ class DeltaCache:
                 rem = -wait[i]
                 rem_tour = self._remove_node_tour_delta(i)
             else:
-                rem_tour = 0.0
                 rem = self._leave_delta(i, k)
-                if rem >= -IMPROVE_EPS:
-                    continue  # the target node's wait and the tour can only grow
+                rem_tour = 0.0
+            need = -(rem + rem_tour)
+            if need <= IMPROVE_EPS:
+                continue  # the target node's wait and the tour can only grow
             for j in serve[k]:
-                if j == i or len(cust_at[j]) >= cap:
-                    continue
+                if trip[j][k] - slack[j] >= need or j == i:
+                    continue  # the slack gate (see the class docstring); full stops too
                 grow = min_load[j] + trip[j][k] - wait[j]
                 add = grow if grow > 0.0 else 0.0
                 delta = rem + add + rem_tour
@@ -461,7 +495,7 @@ class DeltaCache:
 
     def re_assignment2(self) -> float | None:
         """Move two customers of one node together to another node (multi-trip)."""
-        trip, wait, reach = self.trip, self.wait, self.reach
+        trip, wait, reach, slack = self.trip, self.wait, self.reach, self.slack
         cust_at, serve = self.cust_at, self.mats.v_serve
         for i in self.tour[1:]:
             custs = cust_at[i]
@@ -482,12 +516,17 @@ class DeltaCache:
                             continue  # a busiest drone keeps the wait, so rem >= 0
                         rem = self._node_delta(i, ((l1, -trip[i][k1]), (l2, -trip[i][k2])))
                         rem_tour = 0.0
-                    if rem + rem_tour >= -IMPROVE_EPS:
+                    need = -(rem + rem_tour)
+                    if need <= IMPROVE_EPS:
                         continue  # the growth at the target node is never negative
                     for j in serve[k1]:
-                        if j == i or not reach[j][k2]:
+                        # the slack gate on each trip (see the class docstring)
+                        tj1 = trip[j][k1]
+                        if tj1 - slack[j] >= need or j == i or not reach[j][k2]:
                             continue
-                        tj1, tj2 = trip[j][k1], trip[j][k2]
+                        tj2 = trip[j][k2]
+                        if tj2 - slack[j] >= need:
+                            continue
                         # growth is at least the bigger trip on the idlest drone
                         lb = self.min_load[j] + (tj1 if tj1 > tj2 else tj2) - wait[j]
                         if lb < 0.0:
@@ -688,9 +727,9 @@ class DeltaCache:
 
     def zigzag_assignment(self) -> float | None:
         """Move a customer to another stop while a stop-mate takes over its drone."""
-        reach = self.reach
+        trips, reach, slack = self.trip, self.reach, self.slack
         for i in self.tour[1:]:
-            trip = self.trip[i]
+            trip = trips[i]
             custs = self.cust_at[i]
             if len(custs) < 2:
                 continue
@@ -708,10 +747,12 @@ class DeltaCache:
                     )
                     if di >= -IMPROVE_EPS:
                         continue  # the target's wait never drops, so di must pay
+                    need = -di
                     for i2 in self.tour[1:]:
-                        if i2 == i or not reach[i2][k]:
-                            continue
-                        dj = self.min_load[i2] + self.trip[i2][k] - self.wait[i2]
+                        tk = trips[i2][k]
+                        if tk - slack[i2] >= need or i2 == i or not reach[i2][k]:
+                            continue  # the slack gate (see the class docstring)
+                        dj = self.min_load[i2] + tk - self.wait[i2]
                         if dj < 0.0:
                             dj = 0.0
                         delta = di + dj
@@ -757,6 +798,17 @@ class DeltaCache:
                     return False
                 seen.add(key)
 
+    def objective(self) -> float:
+        """The completion time of the current state, summed in ``evaluate``'s
+        order, so that it equals the exported solution's ``objective``."""
+        t, wait, tour = self.t, self.wait, self.tour
+        clock = 0.0
+        prev = tour[0]
+        for i in tour[1:]:
+            clock += wait[prev] + t[prev][i]
+            prev = i
+        return clock + wait[prev] + t[prev][0]
+
     def export_solution(self) -> Solution:
         sol = Solution(
             variant=self.variant,
@@ -769,7 +821,7 @@ class DeltaCache:
 
 
 def local_search(
-    sol: Solution, inst: Instance, mats: TimeMatrices, on_move=None, seen=None
+    sol: Solution, inst: Instance, mats: TimeMatrices, on_move=None, seen=None, best=None
 ) -> Solution | None:
     """Improve ``sol`` to a combined fixpoint of all operators for its variant.
 
@@ -778,6 +830,10 @@ def local_search(
     at one of them would end at that search's optimum, so it stops and
     returns None, before any cache is built for a visited start. Each state
     looked up and not found is added.
+
+    ``best`` is the incumbent, an evaluated solution. An optimum whose
+    objective is not strictly below ``best.objective`` is not exported or
+    evaluated: ``best`` itself is returned.
     """
     if seen is not None:
         key = state_key(inst, sol.variant, sol.tour, sol.assign, sol.drone_of)
@@ -787,4 +843,6 @@ def local_search(
     cache = DeltaCache(sol, inst, mats, on_move=on_move)
     if not cache.run(seen):
         return None
+    if best is not None and not cache.objective() < best.objective:
+        return best
     return cache.export_solution()

@@ -1,4 +1,4 @@
-"""Mutation check of local search's gates, skip rules and commit path.
+"""Mutation check of local search's gates, skip rules, commit path and objective.
 
 Run from the repository root:
 
@@ -54,12 +54,14 @@ MUTANTS = (
     Mutant("swap_assignment1_gate_1e-3", LS,
            "if low1 + low2 >= -IMPROVE_EPS:", "if low1 + low2 >= -1e-3:"),
     Mutant("re_assignment1_rem_gate_1e-5", LS,
-           "if rem >= -IMPROVE_EPS:", "if rem >= -1e-5:"),
+           "if need <= IMPROVE_EPS:\n                continue  # the target",
+           "if need <= 1e-5:\n                continue  # the target"),
     Mutant("re_assignment1_delta_gate_1e-3", LS,
            "if delta >= -IMPROVE_EPS:\n                    continue  # the whole",
            "if delta >= -1e-3:\n                    continue  # the whole"),
     Mutant("re_assignment2_rem_gate_1e-5", LS,
-           "if rem + rem_tour >= -IMPROVE_EPS:", "if rem + rem_tour >= -1e-5:"),
+           "if need <= IMPROVE_EPS:\n                        continue  # the growth",
+           "if need <= 1e-5:\n                        continue  # the growth"),
     Mutant("re_assignment2_lb_gate_1e-5", LS,
            "if rem + lb + rem_tour >= -IMPROVE_EPS:", "if rem + lb + rem_tour >= -1e-5:"),
     Mutant("re_assignment2_lb_both_trips", LS,
@@ -67,6 +69,18 @@ MUTANTS = (
            "lb = self.min_load[j] + tj1 + tj2 - wait[j]"),
     Mutant("zigzag_assignment_gate_1e-5", LS,
            "if di >= -IMPROVE_EPS:", "if di >= -1e-5:"),
+    # the slack gates, which skip a target without costing the move
+    Mutant("re_assignment1_slack_gate_1e-5", LS,
+           "if trip[j][k] - slack[j] >= need or", "if trip[j][k] - slack[j] >= need - 1e-5 or"),
+    Mutant("re_assignment2_slack_gate_first_1e-5", LS,
+           "if tj1 - slack[j] >= need or", "if tj1 - slack[j] >= need - 1e-5 or"),
+    Mutant("re_assignment2_slack_gate_second_1e-5", LS,
+           "if tj2 - slack[j] >= need:", "if tj2 - slack[j] >= need - 1e-5:"),
+    Mutant("zigzag_assignment_slack_gate_1e-5", LS,
+           "if tk - slack[i2] >= need or", "if tk - slack[i2] >= need - 1e-5 or"),
+    Mutant("slack_unrefreshed", LS,
+           "        self.slack[i] = wait - least if len(self.cust_at[i]) < self.cap else FULL\n", ""),
+    Mutant("full_stop_slack_zero", LS, "else FULL\n", "else 0.0\n"),
     Mutant("greedy_repack_gate_1e-5", LS,
            "if new_wait < self.wait[i] - IMPROVE_EPS:", "if new_wait < self.wait[i] - 1e-5:"),
     # skip rules
@@ -83,6 +97,9 @@ MUTANTS = (
            "((k1, j, lj1), (k2, j, lj2))", "((k1, j, lj1), (k2, j, lj1))"),
     Mutant("commit_skips_target_rerank", LS,
            "            touched.add(i)\n", ""),
+    # the objective that decides whether an optimum is exported
+    Mutant("objective_without_closing_leg", LS,
+           "return clock + wait[prev] + t[prev][0]", "return clock + wait[prev]"),
 )
 
 

@@ -325,11 +325,13 @@ def assignment_cost(k, i, state, variant):
 def coherence_errors(cache):
     """Compare every cache of a ``DeltaCache`` against a from-scratch recomputation.
 
-    The waits are also checked against :func:`twoecho.evaluate`, whose stop
-    waits are the per-variant reference. Every node off the tour must hold
-    exactly zero state, as moves onto it are costed from that state. A stop
-    that a within-stop operator has marked clean at its current stamp must
-    have no move of that operator in a fresh cache of the exported solution.
+    The waits, and the objective to the last bit, are also checked against
+    :func:`twoecho.evaluate`, whose stop waits are the per-variant reference.
+    Every node off the tour must hold exactly zero state, as moves onto it
+    are costed from that state. A stop's slack must be its wait less its
+    least load, or -inf once it is full. A stop that a within-stop operator
+    has marked clean at its current stamp must have no move of that
+    operator in a fresh cache of the exported solution.
     """
     errors = []
     if cache._position != {node: idx for idx, node in enumerate(cache.tour)}:
@@ -350,14 +352,19 @@ def coherence_errors(cache):
         cached = (cache.wait[i], cache.second[i], cache.min_load[i])
         if any(abs(a - b) > 1e-9 for a, b in zip(cached, exact)):
             errors.append(f"wait, second or least load stale at node {i}")
+        full = len(custs) >= cache.cap
+        if cache.slack[i] != (float("-inf") if full else cache.wait[i] - cache.min_load[i]):
+            errors.append(f"slack stale at node {i}")
     for i in sorted(set(range(cache.inst.n)) - set(cache.tour)):
-        held = (cache.wait[i], cache.second[i], cache.min_load[i], *cache.loads[i])
+        held = (cache.wait[i], cache.second[i], cache.min_load[i], cache.slack[i], *cache.loads[i])
         if cache.cust_at[i] or any(cache.drones[i]) or any(v != 0.0 for v in held):
             errors.append(f"node {i} is off the tour but holds state")
     if not errors:
         sol = cache.export_solution()
         errors += [f"wait at node {i} differs from evaluate" for i in cache.tour
                    if abs(cache.wait[i] - sol.waits[i]) > 1e-9]
+        if cache.objective() != sol.objective:
+            errors.append("objective differs from evaluate")
         fresh = type(cache)(sol, cache.inst, cache.mats)
         for name, clean in cache.clean.items():
             at_stop = getattr(type(cache), name).at_stop

@@ -1,9 +1,10 @@
 import itertools
+import math
 from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_instance, operator_instance, random_feasible_solution, random_instance
@@ -131,6 +132,82 @@ def test_pair_re_assignment_finds_a_small_gain_and_keeps_the_drones_it_costed():
     assert cache.loads[2] == [0.7, mats.trip[2][0], mats.trip[2][1]]
     after = evaluate(cache.export_solution(), inst, mats).objective
     assert after - before == pytest.approx(delta, abs=1e-12)
+    assert coherence_errors(cache) == []
+
+
+def test_re_assignment_finds_a_small_gain_at_the_edge_of_the_slack_gate():
+    # single-trip, two drones. Node 1 flies customers 0 (0.3 h) and 1 (0.1 h);
+    # node 2, 10 km along the line from customer 0 through node 1, flies
+    # customer 2 (0.6 h + 1e-6 h) and has a drone idle. Customer 0 leaving
+    # node 1 cuts its wait by 0.2 h; from node 2 it flies 0.8 h, so node 2
+    # waits 0.2 h - 1e-6 h longer: a 1e-6 h gain at the slack gate's edge
+    inst, mats, cache = _cache_for(
+        [(0, 0), (10, 10), (20, 10)],
+        [(4, 10), (10, 12), (20, 22 + 2e-5)],
+        {0: 1, 1: 1, 2: 2},
+        endurance=1.0,
+        num_drones=2,
+    )
+    need = -cache._leave_delta(1, 0)
+    assert need - (mats.trip[2][0] - cache.slack[2]) == pytest.approx(1e-6, rel=1e-6)
+    before = cache.objective()
+    delta = cache.re_assignment1()
+    assert delta == pytest.approx(-1e-6, rel=1e-6)
+    assert cache.assign == [2, 1, 2]
+    assert cache.objective() - before == pytest.approx(delta, abs=1e-12)
+    assert coherence_errors(cache) == []
+
+
+@pytest.mark.parametrize("far", [0, 1])
+def test_pair_re_assignment_finds_a_small_gain_at_the_edge_of_either_slack_gate(far):
+    # three drones. Node 1's drone 0 flies customers 0 and 1 (0.5 h), its
+    # drone 1 customer 2 (0.3 h), which node 2 cannot reach; node 2 flies
+    # customer 3 (0.5 h + 1e-6 h). Customer `far` of the pair is 4 km from
+    # node 1 and 14 km (0.7 h) from node 2; the other 6 km from node 1 and
+    # 4 km from node 2. Moving the pair cuts node 1's wait by 0.2 h and adds
+    # 0.2 h - 1e-6 h at node 2: a 1e-6 h gain at the edge of the gate on the
+    # first customer's trip (far = 0) or the second's (far = 1)
+    spots = [(6, 10), (16, 10)] if far == 0 else [(16, 10), (6, 10)]
+    inst, mats, cache = _cache_for(
+        [(0, 0), (10, 10), (20, 10)],
+        [*spots, (4, 10), (20, 20 + 2e-5)],
+        {0: 1, 1: 1, 2: 1, 3: 2},
+        Variant.MULTI,
+        {0: 0, 1: 0, 2: 1, 3: 0},
+        endurance=0.75,
+        num_drones=3,
+    )
+    assert not mats.reach[2][2] and mats.trip[2][far] == 0.7
+    before = cache.objective()
+    delta = cache.re_assignment2()
+    assert delta == pytest.approx(-1e-6, rel=1e-6)
+    assert cache.assign == [2, 2, 1, 2] and cache.drones[2] == [[3], [0], [1]]
+    assert cache.objective() - before == pytest.approx(delta, abs=1e-12)
+    assert coherence_errors(cache) == []
+
+
+def test_zigzag_finds_a_small_gain_at_the_edge_of_the_slack_gate():
+    # two drones. Node 1 flies customer 0 (0.5 h) on drone 0 and customer 1
+    # (0.2 h) on drone 1; node 2, 4 km along the line from customer 0
+    # through node 1, flies customer 2 (0.4 h + 1e-6 h) and has a drone idle.
+    # Customer 1 taking over drone 0 as customer 0 leaves cuts node 1's wait
+    # by 0.3 h; from node 2 customer 0 flies 0.7 h, so node 2 waits 0.3 h
+    # - 1e-6 h longer: a 1e-6 h gain at the slack gate's edge
+    inst, mats, cache = _cache_for(
+        [(0, 0), (10, 10), (14, 10)],
+        [(0, 10), (10, 14), (14, 18 + 2e-5)],
+        {0: 1, 1: 1, 2: 2},
+        Variant.MULTI,
+        {0: 0, 1: 1, 2: 0},
+        endurance=0.75,
+        num_drones=2,
+    )
+    assert mats.trip[2][0] == 0.7
+    before = cache.objective()
+    delta = cache.zigzag_assignment()
+    assert delta == pytest.approx(-1e-6, rel=1e-6)
+    assert cache.assign == [2, 1, 2] and cache.drone_of == [1, 0, 0]
+    assert cache.objective() - before == pytest.approx(delta, abs=1e-12)
     assert coherence_errors(cache) == []
 
 
@@ -310,6 +387,183 @@ def test_no_within_stop_move_at_a_stop_at_its_floor(stop):
             at_stop = getattr(getattr(DeltaCache, name), "at_stop", None)
             if at_stop is not None:
                 assert at_stop(cache, 1) is None, name
+
+
+# truck stops on a 4 km grid: trips from two stops to one customer tie often
+GRID = [(4 + 4 * x, 4 + 4 * y) for x in range(3) for y in range(3)]
+
+
+@st.composite
+def cross_stop_states(draw):
+    """(instance, matrices, solution): u of 1 to 3; two to four grid stops,
+    each customer at a stop (a 0.0 h trip) or one of STOP_OFFSETS from it,
+    so that waits tie too. Each customer goes to a drawn node that can serve
+    it, or in single-trip mode the next one with room, which leaves many
+    single-trip stops full, and in multi-trip onto a drawn drone."""
+    variant = draw(st.sampled_from([Variant.SINGLE, Variant.MULTI]))
+    multi = variant is Variant.MULTI
+    u = draw(st.integers(1, 3))
+    stops = draw(st.lists(st.sampled_from(GRID), min_size=2, max_size=4, unique=True))
+    near = draw(st.lists(st.tuples(st.sampled_from(stops), st.sampled_from(STOP_OFFSETS)),
+                         min_size=2, max_size=7 if multi else min(7, u * len(stops))))
+    customers = [(x + dx, y + dy) for (x, y), (dx, dy) in near]
+    inst = make_instance([(0, 0), *stops], customers, drone_speed=60.0, endurance=0.3,
+                         num_drones=u, d=16.0)
+    mats = build_time_matrices(inst)
+    assign, count = {}, [0] * inst.n
+    for k in range(inst.m):
+        serve = mats.v_serve[k]
+        first = draw(st.integers(0, len(serve) - 1))
+        room = [i for i in serve[first:] + serve[:first] if multi or count[i] < u]
+        assume(room)
+        assign[k] = room[0]
+        count[room[0]] += 1
+    order = draw(st.permutations(sorted(set(assign.values()))))
+    drone_of = {k: draw(st.integers(0, u - 1)) for k in range(inst.m)} if multi else None
+    return inst, mats, Solution(variant, [0, *order], assign, drone_of)
+
+
+def _idlest_after(cache, j, trips):
+    """The drone of node ``j`` each of ``trips`` lands on, in turn onto the
+    first least-loaded one."""
+    loads, lanes = list(cache.loads[j]), []
+    for trip in trips:
+        lanes.append(loads.index(min(loads)))
+        loads[lanes[-1]] += trip
+    return lanes
+
+
+def _objective_after(cache, moves):
+    """The objective once ``moves``, each (customer, node, drone), are made
+    in the cache's state: a node left empty leaves the tour, and a node new
+    to it goes in at its best position; inf when a node is over capacity."""
+    inst, mats = cache.inst, cache.mats
+    assign, drone_of = dict(enumerate(cache.assign)), dict(enumerate(cache.drone_of))
+    for k, i, l in moves:
+        assign[k], drone_of[k] = i, l
+    used = set(assign.values())
+    tour = [i for i in cache.tour if i == 0 or i in used]
+    tours = [tour]
+    for new in used.difference(tour):  # at most one
+        tours = [tour[:p] + [new] + tour[p:] for p in range(1, len(tour) + 1)]
+    best = float("inf")
+    for tour in tours:
+        sol = Solution(cache.variant, tour, assign,
+                       drone_of if cache.variant is Variant.MULTI else None)
+        if check_feasibility(sol, inst, mats):
+            return float("inf")
+        best = min(best, evaluate(sol, inst, mats).objective)
+    return best
+
+
+def _slack_gate_skips(cache):
+    """Every target the slack gates of ``re_assignment1``, ``re_assignment2``
+    and ``zigzag_assignment`` skip in the cache's state, as the move there,
+    from each source whose own change gains more than ``IMPROVE_EPS``."""
+    trip, reach, slack, eps = cache.trip, cache.reach, cache.slack, localsearch.IMPROVE_EPS
+    skipped = []
+    # each need is summed as its scan sums it: -(rem + rem_tour), or -di
+    for k, i in enumerate(cache.assign):
+        if len(cache.cust_at[i]) == 1:
+            need = -(-cache.wait[i] + cache._remove_node_tour_delta(i))
+        else:
+            need = -(cache._leave_delta(i, k) + 0.0)
+        if need > eps:
+            skipped += [[(k, j, *_idlest_after(cache, j, [trip[j][k]]))]
+                        for j in cache.mats.v_serve[k] if j != i and trip[j][k] - slack[j] >= need]
+    if cache.variant is not Variant.MULTI:
+        return skipped
+    for i in cache.tour[1:]:
+        custs = cache.cust_at[i]
+        for k1, k2 in itertools.combinations(custs, 2):
+            if len(custs) == 2:
+                need = -(-cache.wait[i] + cache._remove_node_tour_delta(i))
+            else:
+                need = -cache._node_delta(i, ((cache.drone_of[k1], -trip[i][k1]),
+                                              (cache.drone_of[k2], -trip[i][k2])))
+            if need > eps:
+                skipped += [list(zip((k1, k2), (j, j), _idlest_after(cache, j, [trip[j][k1], trip[j][k2]])))
+                            for j in cache.mats.v_serve[k1] if j != i and reach[j][k2]
+                            and (trip[j][k1] - slack[j] >= need or trip[j][k2] - slack[j] >= need)]
+        for k, k2 in itertools.permutations(custs, 2):
+            l, l2 = cache.drone_of[k], cache.drone_of[k2]
+            if l == l2:
+                continue
+            need = -cache._node_delta(i, ((l, trip[i][k2] - trip[i][k]), (l2, -trip[i][k2])))
+            if need > eps:
+                skipped += [[(k2, i, l), (k, i2, *_idlest_after(cache, i2, [trip[i2][k]]))]
+                            for i2 in cache.tour[1:] if i2 != i and reach[i2][k]
+                            and trip[i2][k] - slack[i2] >= need]
+    return skipped
+
+
+@settings(max_examples=200, deadline=None)
+@given(cross_stop_states())
+def test_slack_gates_skip_only_targets_without_a_gain(state):
+    # a target that a slack gate skips would change the objective by no less
+    # than -IMPROVE_EPS, at its best tour position; and each of the three
+    # scans makes the move it makes with its gates open (slack +inf but at
+    # full stops), so the gates change no decision
+    inst, mats, sol = state
+    cache = DeltaCache(sol, inst, mats)
+    assert coherence_errors(cache) == []
+    before = cache.objective()
+    for moves in _slack_gate_skips(cache):
+        assert _objective_after(cache, moves) - before >= -localsearch.IMPROVE_EPS, moves
+    for name in ("re_assignment1", "re_assignment2", "zigzag_assignment"):
+        if name not in (SINGLE_TRIP_OPERATORS if sol.variant is Variant.SINGLE else MULTI_TRIP_OPERATORS):
+            continue
+        gated, opened = DeltaCache(sol, inst, mats), DeltaCache(sol, inst, mats)
+        opened.slack = [s if s == localsearch.FULL else float("inf") for s in opened.slack]
+        assert getattr(gated, name)() == getattr(opened, name)(), name
+        assert (gated.tour, gated.assign, gated.drone_of) == (opened.tour, opened.assign, opened.drone_of)
+
+
+@pytest.mark.parametrize("variant, u", [
+    (Variant.SINGLE, 1), (Variant.SINGLE, 2), (Variant.MULTI, 1), (Variant.MULTI, 2), (Variant.MULTI, 3)])
+def test_objective_equals_evaluate_in_every_state_a_search_passes(variant, u):
+    # DeltaCache.objective decides whether an optimum is exported, so it must
+    # equal evaluate's to the last bit; u = 1 multi-trip, where every stop's
+    # customers share one drone, is run by no benchmark workload
+    rng = np.random.default_rng(40 + u)
+    checked = 0
+    for _ in range(20):
+        inst = random_instance(rng, n_lo=6, n_hi=8, m_lo=3, m_hi=8, u_lo=u, u_hi=u)
+        mats = build_time_matrices(inst)
+        sol = random_feasible_solution(inst, mats, variant, rng)
+        if sol is None:
+            continue
+        cache = DeltaCache(sol, inst, mats)
+
+        def hook(name, delta):
+            nonlocal checked
+            assert cache.objective() == evaluate(cache.export_solution(), inst, mats).objective, name
+            checked += 1
+
+        hook("start", None)
+        cache.on_move = hook
+        cache.run()
+    assert checked > 30
+
+
+def test_local_search_returns_the_incumbent_unless_it_is_strictly_beaten(monkeypatch):
+    # an optimum that is not strictly below best is neither exported nor
+    # evaluated: best itself comes back
+    rng = np.random.default_rng(12)
+    inst = random_instance(rng, n_lo=5, n_hi=5, m_lo=7, m_hi=7, u_lo=2, u_hi=2)
+    mats = build_time_matrices(inst)
+    sol = random_feasible_solution(inst, mats, Variant.MULTI, rng)
+    optimum = local_search(sol.copy(), inst, mats)
+    exported = []
+    export = DeltaCache.export_solution
+    monkeypatch.setattr(DeltaCache, "export_solution", lambda cache: exported.append(1) or export(cache))
+    for nudge, beaten in ((-math.inf, False), (0, False), (math.inf, True)):
+        best = optimum.copy()
+        if nudge:
+            best.objective = math.nextafter(optimum.objective, nudge)
+        out = local_search(sol.copy(), inst, mats, best=best)
+        assert (out is not best) == beaten and len(exported) == beaten
+        assert (out.tour, out.assign, out.drone_of) == (optimum.tour, optimum.assign, optimum.drone_of)
 
 
 def test_truck_operators_reach_permutation_optimum():
