@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-milp", help="write the MILP in CPLEX LP format")
     p.add_argument("instance")
     p.add_argument("--model", default="s", help="s, m, or umin (minimum fleet size)")
-    p.add_argument("--big-m", type=float, default=None, help="objective upper bound; defaults to a quick heuristic bound")
+    p.add_argument("--big-m", type=float, default=None, help="objective upper bound (--model s or m); defaults to a quick heuristic bound")
     p.add_argument("--literal-eq13", action="store_true", help="emit the summed single-trip wait constraint (--model s only)")
     p.add_argument("--out", required=True)
 
@@ -218,6 +218,8 @@ def _cmd_export_milp(args) -> int:
         if args.literal_eq13 and variant is not Variant.SINGLE:
             raise ValueError("--literal-eq13 applies to --model s only")
         if args.big_m is not None:
+            if variant is None:
+                raise ValueError("--big-m applies to --model s or m only")
             exact.check_big_m(args.big_m)
     inst = load_instance(args.instance)
     mats = build_time_matrices(inst)

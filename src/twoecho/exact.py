@@ -548,6 +548,8 @@ def import_milp_solution(
             continue
         if prefix == "x":
             i, j = index
+            if i == inst.n:  # the model's leave_copy row
+                raise MilpParseError(f"arc variable {name} leaves the depot copy")
             if i in succ:
                 raise MilpParseError(f"node {i} has two outgoing arcs set")
             succ[i] = j
@@ -576,7 +578,7 @@ def import_milp_solution(
         tour.append(nxt)
         seen.add(nxt)
         cur = nxt
-    extra = [i for i in succ if i not in seen and i != inst.n]
+    extra = [i for i in succ if i not in seen]
     if extra:
         raise MilpParseError(f"arc variables contain a subtour through nodes {sorted(extra)}")
 

@@ -179,8 +179,7 @@ class DeltaCache:
     ``_commit`` makes each customer move, a (customer, node, drone) triple;
     re-assignments add only the tour edit. ``stamp[i]`` counts the moves onto
     and off node ``i``; ``clean[name][i]`` is the stamp at which within-stop
-    operator ``name`` last found no move at stop ``i`` (see ``_stop_operator``),
-    and ``floor[i]`` the stamp and result of ``_at_floor(i)`` when last tested.
+    operator ``name`` last found no move at stop ``i`` (see ``_stop_operator``).
 
     ``slack[i]`` is ``wait[i] - min_load[i]``, what a trip put on node ``i``'s
     idlest drone may take before the wait grows; ``FULL`` at a stop that
@@ -246,7 +245,6 @@ class DeltaCache:
             self._refresh_node(i)
         self.stamp = [0] * n
         self.clean = defaultdict(lambda: [-1] * n)
-        self.floor = [(-1, False)] * n
         self._position: dict[int, int] = {}
         self._ins_cache: dict[int, tuple[float, int]] = {}
         self._bump_tour()
@@ -272,17 +270,12 @@ class DeltaCache:
         floor exactly when it equals one of the stop's trips. There any
         split of the stop's customers over its drones leaves the wait where
         it is or longer, so no within-stop move shortens it (a delta's
-        rounding is far below ``IMPROVE_EPS``). Tested once per stamp."""
-        at, floor = self.floor[i]
-        if at != self.stamp[i]:
-            trip, wait = self.trip[i], self.wait[i]
-            floor = False
-            for k in self.cust_at[i]:  # a plain loop: `max` or `in map` cost 3-7x as much
-                if trip[k] == wait:
-                    floor = True
-                    break
-            self.floor[i] = self.stamp[i], floor
-        return floor
+        rounding is far below ``IMPROVE_EPS``)."""
+        trip, wait = self.trip[i], self.wait[i]
+        for k in self.cust_at[i]:  # a plain loop: `max` or `in map` cost 3-7x as much
+            if trip[k] == wait:
+                return True
+        return False
 
     def _idlest(self, i) -> int:
         """The first of node ``i``'s least-loaded drones."""
@@ -527,13 +520,6 @@ class DeltaCache:
                         tj2 = trip[j][k2]
                         if tj2 - slack[j] >= need:
                             continue
-                        # growth is at least the bigger trip on the idlest drone
-                        lb = self.min_load[j] + (tj1 if tj1 > tj2 else tj2) - wait[j]
-                        if lb < 0.0:
-                            lb = 0.0
-                        # the tour change is never below rem_tour
-                        if rem + lb + rem_tour >= -IMPROVE_EPS:
-                            continue
                         loads = list(self.loads[j])
                         lj1 = loads.index(min(loads))
                         loads[lj1] += tj1
@@ -710,10 +696,7 @@ class DeltaCache:
     def greedy_repack(self, i):
         """Re-pack one stop: shortest trips first, each onto the idlest drone."""
         trip = self.trip[i]
-        custs = self.cust_at[i]
-        if len(custs) < 2:
-            return None
-        order = sorted(custs, key=lambda k: (trip[k], k))
+        order = sorted(self.cust_at[i], key=lambda k: (trip[k], k))
         loads = [0.0] * self.u
         moves = []
         for k in order:
@@ -737,9 +720,9 @@ class DeltaCache:
             for k in custs:
                 l = self.drone_of[k]
                 for k2 in custs:
-                    if k2 == k or self.drone_of[k2] == l:
-                        continue
                     l2 = self.drone_of[k2]
+                    if l2 == l:
+                        continue  # k itself, or a mate on its drone
                     if loads[l] < wait and loads[l2] < wait:
                         continue  # a busiest drone keeps the wait, so di >= 0
                     di = self._node_delta(

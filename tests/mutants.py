@@ -1,4 +1,5 @@
-"""Mutation check of local search's gates, skip rules, commit path and objective.
+"""Mutation check of local search's gates, skip rules, commit path and objective,
+and of ``evaluate``, construction and the exact solver.
 
 Run from the repository root:
 
@@ -62,11 +63,6 @@ MUTANTS = (
     Mutant("re_assignment2_rem_gate_1e-5", LS,
            "if need <= IMPROVE_EPS:\n                        continue  # the growth",
            "if need <= 1e-5:\n                        continue  # the growth"),
-    Mutant("re_assignment2_lb_gate_1e-5", LS,
-           "if rem + lb + rem_tour >= -IMPROVE_EPS:", "if rem + lb + rem_tour >= -1e-5:"),
-    Mutant("re_assignment2_lb_both_trips", LS,
-           "lb = self.min_load[j] + (tj1 if tj1 > tj2 else tj2) - wait[j]",
-           "lb = self.min_load[j] + tj1 + tj2 - wait[j]"),
     Mutant("zigzag_assignment_gate_1e-5", LS,
            "if di >= -IMPROVE_EPS:", "if di >= -1e-5:"),
     # the slack gates, which skip a target without costing the move
@@ -86,8 +82,6 @@ MUTANTS = (
     # skip rules
     Mutant("floor_tolerance_1e-5", LS,
            "if trip[k] == wait:", "if trip[k] >= wait - 1e-5:"),
-    Mutant("floor_cache_ignores_stamp", LS,
-           "if at != self.stamp[i]:", "if at < 0:"),
     Mutant("clean_stop_ignores_stamp", LS,
            "if clean[i] == stamp[i]:", "if clean[i] >= 0:"),
     Mutant("state_key_without_drones", LS,
@@ -100,6 +94,15 @@ MUTANTS = (
     # the objective that decides whether an optimum is exported
     Mutant("objective_without_closing_leg", LS,
            "return clock + wait[prev] + t[prev][0]", "return clock + wait[prev]"),
+    # outside local search: evaluate, construction, the exact solver
+    Mutant("evaluate_longest_flight", "src/twoecho/model.py",
+           "waits[i] = max(waits[i], sum(flights, 0.0))", "waits[i] = max(waits[i], max(flights))"),
+    Mutant("construction_edits_shared_load_row", "src/twoecho/construct.py",
+           "            self.loads[i] = [0.0] * self.inst.num_drones\n", ""),
+    Mutant("exact_prune_1e-5", "src/twoecho/exact.py",
+           "if tour_cost + total_wait >= best_obj:", "if tour_cost + total_wait >= best_obj - 1e-5:"),
+    Mutant("random_blocks_drop_carry", "src/twoecho/construct.py",
+           "buf = self._buf = buf[at:] + self._rng.random(", "buf = self._buf = self._rng.random("),
 )
 
 

@@ -540,6 +540,15 @@ def test_literal_eq13_outside_single_trip_is_usage_error(tiny_instance, tmp_path
     assert not out.exists()
 
 
+def test_big_m_with_the_fleet_model_is_usage_error(tiny_instance, tmp_path, capsys):
+    # the minimum-fleet model has no big-M, so a bound it would ignore is refused
+    out = tmp_path / "model.lp"
+    for value in (5, -5):
+        _assert_usage_error(capsys, "export-milp", tiny_instance, "--model", "umin",
+                            "--big-m", value, "--out", out)
+    assert not out.exists()
+
+
 def test_exact_caps_below_one_are_usage_errors(tiny_instance, capsys):
     _assert_usage_error(capsys, "exact", tiny_instance, "--max-nodes", -3)
     _assert_usage_error(capsys, "exact", tiny_instance, "--max-customers", 0)

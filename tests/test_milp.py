@@ -283,29 +283,45 @@ def test_import_malformed_variable_names_the_variable(tmp_path, line, message):
     assert str(err.value) == message
 
 
+def _refuse_optimum_plus(tmp_path, capsys, inst, extra):
+    """Write ``inst``'s single-trip optimum as a value file, check that it
+    imports as the optimum, and return the refusal of that file with the
+    ``extra`` line added, which the CLI reports as one error line."""
+    mats = build_time_matrices(inst)
+    best = solve_exact(inst, mats, Variant.SINGLE)
+    tour = best.solution.tour
+    arcs = [f"x_{i}_{j} 1" for i, j in zip(tour, tour[1:] + [inst.n])]
+    z = [f"z_{i}_{k} 1" for k, i in sorted(best.solution.assign.items())]
+    values = tmp_path / "values.sol"
+    values.write_text("\n".join(arcs + z) + "\n")
+    assert import_milp_solution(values, inst, mats).objective == pytest.approx(best.objective)
+
+    values.write_text("\n".join(arcs + z + [extra]) + "\n")
+    with pytest.raises(MilpParseError) as err:
+        import_milp_solution(values, inst, mats)
+    inst_path = tmp_path / "i.json"
+    save_instance(inst, inst_path)
+    capsys.readouterr()
+    assert main(["import-milp-solution", str(inst_path), str(values)]) == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    return arcs + z, str(err.value)
+
+
 @pytest.mark.parametrize("alias", ["z_03_0 0", "z_+3_0 0", "z_３_0 0", "x_00_2 0"])
 def test_import_refuses_an_index_spelled_two_ways(tmp_path, capsys, alias):
     # int() reads "03", "+3" and a full-width 3 as 3, so each alias would set
     # a variable the optimum already sets and pass the "set once" check
     inst = generate(GenConfig(d=20, n_truck=4, m_customers=3, seed=4))
     inst = inst.replaced(num_drones=compute_u_min(inst, build_time_matrices(inst)))
-    mats = build_time_matrices(inst)
-    best = solve_exact(inst, mats, Variant.SINGLE)
-    tour = best.solution.tour
-    arcs = [f"x_{i}_{j} 1" for i, j in zip(tour, tour[1:] + [inst.n])]
-    z = [f"z_{i}_{k} 1" for k, i in sorted(best.solution.assign.items())]
-    assert "z_3_0 1" in z and "x_0_2 1" in arcs
-    values = tmp_path / "values.sol"
-    values.write_text("\n".join(arcs + z) + "\n")
-    assert import_milp_solution(values, inst, mats).objective == pytest.approx(best.objective)
+    lines, message = _refuse_optimum_plus(tmp_path, capsys, inst, alias)
+    assert "z_3_0 1" in lines and "x_0_2 1" in lines
+    assert message == f"variable {alias.split()[0]} has a non-integer index"
 
-    values.write_text("\n".join(arcs + z + [alias]) + "\n")
-    name = alias.split()[0]
-    with pytest.raises(MilpParseError) as err:
-        import_milp_solution(values, inst, mats)
-    assert str(err.value) == f"variable {name} has a non-integer index"
-    inst_path = tmp_path / "i.json"
-    save_instance(inst, inst_path)
-    capsys.readouterr()
-    assert main(["import-milp-solution", str(inst_path), str(values)]) == 1
-    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+def test_import_refuses_an_arc_out_of_the_depot_copy(tmp_path, capsys):
+    # the model's leave_copy row holds every arc out of the copy at 0; the
+    # tour walk stops at the copy, so it cannot see such an arc itself
+    inst = generate(GenConfig(d=20, n_truck=4, m_customers=3, seed=7)).replaced(num_drones=3)
+    lines, message = _refuse_optimum_plus(tmp_path, capsys, inst, "x_4_2 1")
+    assert "x_0_2 1" in lines and "x_1_4 1" in lines
+    assert message == "arc variable x_4_2 leaves the depot copy"
