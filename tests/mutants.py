@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-FAST = ("tests/test_localsearch.py", "tests/test_golden.py", "tests/test_grasp.py")
+FAST = ("tests/test_localsearch.py", "tests/test_golden.py", "tests/test_grasp.py", "tests/test_exact.py")
 TIMEOUT_S = 300
 
 
@@ -47,6 +47,7 @@ class Mutant(NamedTuple):
 
 
 LS = "src/twoecho/localsearch.py"
+EX = "src/twoecho/exact.py"
 
 MUTANTS = (
     # gates that skip candidates which cannot gain more than IMPROVE_EPS
@@ -99,8 +100,16 @@ MUTANTS = (
            "waits[i] = max(waits[i], sum(flights, 0.0))", "waits[i] = max(waits[i], max(flights))"),
     Mutant("construction_edits_shared_load_row", "src/twoecho/construct.py",
            "            self.loads[i] = [0.0] * self.inst.num_drones\n", ""),
-    Mutant("exact_prune_1e-5", "src/twoecho/exact.py",
+    Mutant("exact_prune_1e-5", EX,
            "if tour_cost + total_wait >= best_obj:", "if tour_cost + total_wait >= best_obj - 1e-5:"),
+    Mutant("exact_subset_prune_1e-5", EX,
+           "if tour_cost >= best_obj or", "if tour_cost >= best_obj - 1e-5 or"),
+    Mutant("exact_wait_bound_tolerance_1e-6", EX,
+           "bound[mask] >= best_obj * (1 + 1e-12)", "bound[mask] >= best_obj * (1 - 1e-6)"),
+    Mutant("exact_wait_floor_plus_1e-6", EX,
+           "for k in ks), default=math.inf)", "for k in ks), default=math.inf) + 1e-6"),
+    Mutant("held_karp_own_column", EX,
+           "np.take(dp, sel ^ (1 << j), axis=1)", "np.take(dp, sel, axis=1)"),
     Mutant("random_blocks_drop_carry", "src/twoecho/construct.py",
            "buf = self._buf = buf[at:] + self._rng.random(", "buf = self._buf = self._rng.random("),
 )

@@ -1,19 +1,24 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_instance, random_instance
+from make_optima import OPTIMA, SEEDS, c8_instance
 from oracles import _held_karp_paths, brute_force_optimum, reference_closed_tour
 from twoecho import (
     ExactLimits,
     GenConfig,
     GraspConfig,
     SizeLimitError,
+    Solution,
     Variant,
     build_time_matrices,
     check_feasibility,
     compute_u_min,
+    evaluate,
     generate,
     run,
     solve_exact,
@@ -88,6 +93,18 @@ def test_single_customer_closed_form():
         assert check_feasibility(res.solution, inst, mats) == []
 
 
+def test_a_subset_that_beats_the_incumbent_by_1e_7_h_is_searched():
+    # stop 1 sits 1e-6 km beside the customer and stop 2 on it: the subset
+    # {1} comes first and costs 1e-7 h more than {2}, so a bound or prune
+    # that cuts within 1e-7 h of the incumbent keeps the worse tour
+    inst = make_instance([(0, 0), (10, 1e-6), (10, 0)], [(10, 0)])
+    mats = build_time_matrices(inst)
+    for variant in (Variant.SINGLE, Variant.MULTI):
+        res = solve_exact(inst, mats, variant)
+        assert (res.solution.tour, res.objective) == ([0, 2], 0.5), variant
+        assert res.proof == SearchProof(subsets=2, assignments=2)
+
+
 def test_caps_refused_with_size_report():
     inst = make_instance([(0, 0)] + [(i, 0) for i in range(1, 12)], [], num_drones=1)
     mats = build_time_matrices(inst)
@@ -148,6 +165,23 @@ def test_monotone_in_fleet_and_speed_and_variant():
         assert multi <= single + 1e-9
 
 
+def test_stored_criterion_8_optima_hold_and_grasp_never_beats_them():
+    # written by tests/make_optima.py: the benchmark's c8 instances at seed 0
+    cases = json.loads(OPTIMA.read_text(encoding="utf-8"))
+    assert sorted((c["seed"], c["variant"]) for c in cases) == [
+        (seed, v.value) for seed in SEEDS for v in (Variant.MULTI, Variant.SINGLE)
+    ]
+    for seed in SEEDS:
+        inst, mats = c8_instance(seed)
+        for case in (c for c in cases if c["seed"] == seed):
+            assert case["num_drones"] == inst.num_drones
+            sol = Solution.from_json_dict(case["solution"])
+            assert check_feasibility(sol, inst, mats) == []
+            assert evaluate(sol, inst, mats).objective == pytest.approx(case["objective"], abs=1e-9)
+            _, report = run(inst, GraspConfig(variant=sol.variant, n_max=20, seed=1), mats)
+            assert report.objective >= case["objective"] - 1e-9, (seed, case["variant"])
+
+
 def test_proof_reports_search_effort():
     rng = np.random.default_rng(31)
     inst, mats = _feasible_tiny(rng)
@@ -192,13 +226,16 @@ _FLOAT_POINTS = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_GRID_POINTS, _FLOAT_POINTS))
+# solve_tsp fills whole tables up to 16 points, past the cap of 12 above:
+# 14 points on a 3 x 3 grid, five of them (the depot's too) repeated
+@example([(x, y) for x in range(3) for y in range(3)] + [(0, 0), (1, 1), (2, 2), (0, 2), (2, 0)])
 def test_held_karp_table_is_the_reference_table(points):
     # repeated grid points force ties; unfilled cells must be inf in both
     t = [[(abs(a[0] - b[0]) + abs(a[1] - b[1])) / 40.0 for b in points] for a in points]
     n = len(points)
     table = exact._held_karp(t, exact._popcount_layers(n - 1))
-    assert table.shape == (1 << (n - 1), n - 1)
-    assert table.tolist() == _held_karp_paths(t, n)[0]
+    assert table.shape == (n - 1, 1 << (n - 1))
+    assert table.T.tolist() == _held_karp_paths(t, n)[0]
 
 
 def test_layer_cap_gives_the_uncapped_solution(monkeypatch):

@@ -325,3 +325,19 @@ def test_import_refuses_an_arc_out_of_the_depot_copy(tmp_path, capsys):
     lines, message = _refuse_optimum_plus(tmp_path, capsys, inst, "x_4_2 1")
     assert "x_0_2 1" in lines and "x_1_4 1" in lines
     assert message == "arc variable x_4_2 leaves the depot copy"
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("y_3 1", "visit variable y_3 is 1 but node 3 is off the truck tour"),
+        ("y_1 0", "visit variable y_1 is 0 but node 1 is on the truck tour"),
+    ],
+)
+def test_import_refuses_a_visit_variable_the_tour_contradicts(tmp_path, capsys, extra, message):
+    # the model's indeg_j rows tie y_j to the arcs into node j; the optimum
+    # tours 0 -> 2 -> 1, so node 3 is off the tour and node 1 on it
+    inst = generate(GenConfig(d=20, n_truck=4, m_customers=3, seed=7)).replaced(num_drones=3)
+    lines, refusal = _refuse_optimum_plus(tmp_path, capsys, inst, extra)
+    assert "x_0_2 1" in lines and "x_2_1 1" in lines and "x_1_4 1" in lines
+    assert refusal == message
