@@ -114,9 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="exhaustive search, small instances only")
     p.add_argument("instance")
     p.add_argument("--variant", default="m")
-    p.add_argument("--max-nodes", type=int, default=8)
-    p.add_argument("--max-customers", type=int, default=8)
-    p.add_argument("--max-drones", type=int, default=4)
+    p.add_argument("--max-nodes", type=int, default=exact.ExactLimits.max_truck_nodes)
+    p.add_argument("--max-customers", type=int, default=exact.ExactLimits.max_customers)
+    p.add_argument("--max-drones", type=int, default=exact.ExactLimits.max_drones)
     p.add_argument("--out", help="solution JSON path")
 
     p = sub.add_parser("export-milp", help="write the MILP in CPLEX LP format")

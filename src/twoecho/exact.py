@@ -199,9 +199,9 @@ def solve_exact(
 ) -> ExactResult:
     """Provably optimal solution by complete enumeration, for small instances.
 
-    Subsets of stops are taken in ascending mask order, each priced by its
-    best closed tour, and an assignment search runs on every subset that no
-    bound cuts. The wait bound cuts a subset before its search: every stop of
+    Subsets of stops that can hold a solution are taken in ascending mask
+    order, each priced by its best closed tour and searched if no bound
+    cuts it. The wait bound cuts a subset before its search: every stop of
     a leaf serves a customer (the search's ``empties`` rule), so stop i waits
     at least ``floor_i``, its shortest trip (+inf when it serves no one), and
     no leaf costs less than the tour plus the floors over the mask. A wait is
@@ -231,12 +231,15 @@ def solve_exact(
     multi = variant is Variant.MULTI
     cap = m if multi else u  # customers a stop may serve
 
-    serve_bits = [sum(1 << (i - 1) for i in sites) for sites in mats.v_serve]
-
     trip = mats.trip
-    # subsets of more than m stops are skipped below, so their layers stay unfilled
+    # subsets of more than m stops hold no solution, so their layers stay unfilled
     layers = _popcount_layers(n - 1)[: m + 1]
     dp = _held_karp(mats.t, layers)
+    # the subsets walked below, ascending: ceil(m / cap) or more stops (cap is 0
+    # only when m is), one for each customer; layers[0][:0] keeps the int dtype
+    masks = np.sort(np.concatenate([layers[0][:0], *layers[-(-m // cap) if m else 0 :]]))
+    for sites in mats.v_serve:
+        masks = masks[masks & sum(1 << (i - 1) for i in sites) != 0]
     full = 1 << (n - 1)
     close_cost = np.full(full, np.inf)
     close_cost[0] = 0.0  # the depot alone: the one subset when m == 0
@@ -248,10 +251,8 @@ def solve_exact(
         floor = min((trip[b + 1][k] for k in ks), default=math.inf)
         bound[1 << b : 2 << b] = bound[: 1 << b] + floor
     bound += close_cost
-    close_cost = close_cost.tolist()
     best_obj = float("inf")
     best_payload = None
-    subsets = 0
     leaves = 0
     # search state for every subset: per node its wait and trips, which dfs
     # puts back as it returns, and per customer the stop on the current path
@@ -293,19 +294,16 @@ def solve_exact(
             here.pop()
             waits[i] = old_wait
 
-    for mask in range(full):
-        size = mask.bit_count()
-        if size > m or m > cap * size or not all(bits & mask for bits in serve_bits):
-            continue
-        subsets += 1
-        tour_cost = close_cost[mask]
+    for mask in masks:
+        tour_cost = close_cost.item(mask)
         if tour_cost >= best_obj or bound[mask] >= best_obj * (1 + 1e-12):
             continue
+        mask = int(mask)
         # each customer's stops in the subset, ascending; fewest choices first,
         # ties by customer as the sort is stable
         cands = [[i for i in sites if mask >> (i - 1) & 1] for sites in mats.v_serve]
         order = sorted(range(m), key=lambda k: len(cands[k]))
-        dfs(0, size, 0.0)
+        dfs(0, mask.bit_count(), 0.0)
 
     if best_payload is None:
         raise InfeasibleInstanceError("no feasible assignment exists at this fleet size")
@@ -325,7 +323,7 @@ def solve_exact(
             drone_of.update(zip(ks, lanes))
     sol = Solution(variant, tour, assignment, drone_of)
     evaluate(sol, inst, mats)
-    return ExactResult(sol, sol.objective, SearchProof(subsets=subsets, assignments=leaves))
+    return ExactResult(sol, sol.objective, SearchProof(subsets=len(masks), assignments=leaves))
 
 
 # --- LP-format export ---------------------------------------------------------------
@@ -436,7 +434,7 @@ def export_milp(
     nodes = list(range(n))
     arc_targets = [j for j in range(1, n)] + [n]
     lp.binaries.extend(f"x_{i}_{j}" for i in nodes + [n] for j in nodes + [n] if i != j)
-    lp.binaries.extend(f"y_{i}" for i in nodes)
+    lp.binaries.extend(f"y_{i}" for i in range(1, n))
 
     # depot departure may go straight to the copy so an empty plan stays feasible
     lp.constraint("depart_depot", [(1.0, f"x_0_{j}") for j in arc_targets], "=", 1.0)
@@ -618,8 +616,8 @@ def import_milp_solution(
     extra = [i for i in succ if i not in seen]
     if extra:
         raise MilpParseError(f"arc variables contain a subtour through nodes {sorted(extra)}")
-    # the model's indeg_j rows set y_j to node j's indegree; y_0 has no such
-    # row, and a y left out of the file may be a zero the solver omitted
+    # the model's indeg_j rows set y_j to node j's indegree for j >= 1; a y_0
+    # is read unchecked, and a y left out may be a zero the solver omitted
     for i, bit in visits.items():
         if i and bit != (i in seen):
             where = "on" if i in seen else "off"

@@ -108,6 +108,12 @@ MUTANTS = (
            "bound[mask] >= best_obj * (1 + 1e-12)", "bound[mask] >= best_obj * (1 - 1e-6)"),
     Mutant("exact_wait_floor_plus_1e-6", EX,
            "for k in ks), default=math.inf)", "for k in ks), default=math.inf) + 1e-6"),
+    Mutant("exact_popcount_floor_plus_1", EX,
+           "layers[-(-m // cap) if", "layers[-(-m // cap) + 1 if"),
+    Mutant("exact_coverage_skips_first_customer", EX,
+           "for sites in mats.v_serve:\n        masks", "for sites in mats.v_serve[1:]:\n        masks"),
+    Mutant("exact_no_customers_floor_1", EX,
+           "if m else 0 :]", "if m else 1 :]"),
     Mutant("held_karp_own_column", EX,
            "np.take(dp, sel ^ (1 << j), axis=1)", "np.take(dp, sel, axis=1)"),
     Mutant("random_blocks_drop_carry", "src/twoecho/construct.py",

@@ -18,7 +18,7 @@ from twoecho import (
     save_instance,
 )
 from twoecho.baseline import check_coincident
-from twoecho.cli import main
+from twoecho.cli import build_parser, main
 from twoecho.exact import check_big_m
 
 
@@ -553,6 +553,11 @@ def test_exact_caps_below_one_are_usage_errors(tiny_instance, capsys):
     _assert_usage_error(capsys, "exact", tiny_instance, "--max-nodes", -3)
     _assert_usage_error(capsys, "exact", tiny_instance, "--max-customers", 0)
     _assert_usage_error(capsys, "exact", tiny_instance, "--max-drones", 0)
+
+
+def test_exact_caps_default_to_the_library_limits():
+    args = build_parser().parse_args(["exact", "instance.json"])
+    assert ExactLimits(args.max_nodes, args.max_customers, args.max_drones) == ExactLimits()
 
 
 def _one_point_coincident():

@@ -51,27 +51,27 @@ def test_constraint_counts_match_symbolic_tally():
 # (n, m, u, seed) at d = 20 km, m = 0 included, then coincident ones keyed by
 # (n_total, u, seed) at d = 15 km. A refactor of the writer must keep every byte.
 PINNED_LP_TEXTS = {
-    (1, 0, 1, 16): ("50a289ac1de2", "66e6d0ee0fd6", "fbaba15a5139", "dd7e100b26f8"),
-    (2, 1, 1, 0): ("2472c00e818b", "f0a05c2ab4dd", "7a261c0a98e2", "c7e0e46c5d75"),
-    (3, 0, 1, 1): ("a28e83fd62f7", "99219211cda0", "156596484b6e", "1deaf5d9aa92"),
-    (3, 2, 1, 2): ("b39f112d683f", "dbc81d8c1271", "682ed5209988", "4db93760b0e3"),
-    (3, 4, 2, 3): ("66fd94f24fbd", "750964bd6faf", "b3521169a98a", "68b397cec2c6"),
-    (4, 3, 1, 4): ("b6a5e70b5fe2", "adccc27c24da", "2299f83cbcfa", "af16cf592709"),
-    (4, 6, 2, 5): ("0a93586b7fd0", "8e8139ad74e7", "b503d95d04d1", "2bd742333c31"),
-    (4, 8, 3, 6): ("9d01b346f7ee", "5250e141ddbe", "d45665680314", "2bc0aeae0660"),
-    (5, 5, 1, 7): ("c9c02198e003", "b6d49addac33", "51b7a9407259", "9fefed0b162c"),
-    (5, 9, 2, 8): ("6f4d51454299", "2cc1678dc6d8", "034ddd0adae6", "17edb3919ee3"),
-    (6, 4, 3, 9): ("a0d1a16d516a", "4d404a449843", "97102bab5cfa", "83c763531801"),
-    (6, 10, 2, 10): ("f1e79366c784", "533943a6bae0", "bdfe2c9baa2b", "f7ca87050966"),
-    (7, 7, 1, 11): ("8838a5991614", "3122d2493d39", "d9f95e7d3957", "3f63fa692660"),
-    (7, 12, 3, 12): ("bac4db7eb14a", "f77e971c482e", "2a49a1c26464", "b15c840368bd"),
-    (8, 8, 2, 13): ("45bd79a6d5b2", "cdbc5af2fc82", "ede13eb0c4ec", "5fb9b9138694"),
-    (8, 15, 4, 14): ("cc53346d7026", "879f35d9e4fa", "f7b1406e4db9", "3b7220f6c7ab"),
-    (5, 0, 2, 15): ("29f1da2ee8ed", "f4464ab8552d", "9801fe52912d", "67b4b93197c2"),
-    (3, 1, 0): ("0ea55b6dcbee", "596dd7a3be40", "fccf61796f4b", "f29cd2d3205d"),
-    (5, 2, 1): ("443074dc3886", "f638392b09ff", "7a84dd880ee6", "9672123b018c"),
-    (7, 3, 2): ("fae5f55b1a19", "5cc5bd56fc36", "1f19f2f6eeb2", "215e27e80b94"),
-    (9, 2, 3): ("a285c05e0e28", "285f53ee3fad", "6afbd81e138a", "5435590618ad"),
+    (1, 0, 1, 16): ("a611d65a252e", "92a6e899e2c9", "8a5a1335d786", "dd7e100b26f8"),
+    (2, 1, 1, 0): ("d7bedbf55ca7", "b1e478dbe4df", "62e9e13bb0c5", "c7e0e46c5d75"),
+    (3, 0, 1, 1): ("84e9690bee19", "989078078a0f", "9325f4e54a8b", "1deaf5d9aa92"),
+    (3, 2, 1, 2): ("b31ce5bda720", "58812cc5ffa9", "0990ef747d4a", "4db93760b0e3"),
+    (3, 4, 2, 3): ("5d93c62c8aa8", "a714c5940d61", "389dbd0ee539", "68b397cec2c6"),
+    (4, 3, 1, 4): ("68825e74aa4b", "3652efa47927", "b1a9afd4b26d", "af16cf592709"),
+    (4, 6, 2, 5): ("ad2ca810cee7", "4b365ae55ccc", "45a9af69109f", "2bd742333c31"),
+    (4, 8, 3, 6): ("afc411ea24e1", "a87cc518f483", "f3847bdf5403", "2bc0aeae0660"),
+    (5, 5, 1, 7): ("41bbbc457be9", "6aaeee0ecb19", "07aba19b3e8f", "9fefed0b162c"),
+    (5, 9, 2, 8): ("835c884e9a52", "5fbbf532880e", "d5a7b073d121", "17edb3919ee3"),
+    (6, 4, 3, 9): ("a0146b2cfea6", "f2387114dd51", "3182a10a530f", "83c763531801"),
+    (6, 10, 2, 10): ("a019d2bce0b1", "2a5a68a0817a", "ee494e4fab7e", "f7ca87050966"),
+    (7, 7, 1, 11): ("7c406f75e312", "0c97d6671b72", "224e98df2036", "3f63fa692660"),
+    (7, 12, 3, 12): ("124908d2313e", "77b07f3b52e6", "d8823d0c05bb", "b15c840368bd"),
+    (8, 8, 2, 13): ("aac5738097d4", "d8d395441c29", "8876ed7a0133", "5fb9b9138694"),
+    (8, 15, 4, 14): ("7d4025c1459a", "c7564d4bce02", "073017100f5b", "3b7220f6c7ab"),
+    (5, 0, 2, 15): ("a144dca827d4", "7418aa262931", "c155f032ff4a", "67b4b93197c2"),
+    (3, 1, 0): ("4476714e740a", "1e00e60bfa4e", "9b7d1e13cd58", "f29cd2d3205d"),
+    (5, 2, 1): ("32cd883780c4", "eae9c126ac3a", "818bf0a6d5bf", "9672123b018c"),
+    (7, 3, 2): ("0985d2d1073a", "326005280316", "1cd003ade83f", "215e27e80b94"),
+    (9, 2, 3): ("ee00bcd69e85", "0e8e70488b49", "d7daf0a009b3", "5435590618ad"),
 }
 
 
@@ -95,6 +95,21 @@ def test_lp_texts_are_pinned():
             export_umin_milp(inst, mats),
         )
         assert tuple(digest(text) for text in texts) == expected, key
+
+
+def test_lp_texts_declare_no_y_0():
+    # no row uses the depot's visit variable, so no model declares it
+    rng = np.random.default_rng(43)
+    for trial in range(6):
+        inst = random_instance(rng, n_lo=2, n_hi=6, m_lo=1, m_hi=6, u_lo=1, u_hi=3)
+        mats = build_time_matrices(inst)
+        texts = [export_milp(inst, mats, variant, big_m=10.0) for variant in Variant]
+        texts.append(export_milp(inst, mats, Variant.SINGLE, big_m=10.0, literal_eq13=True))
+        for text in texts:
+            declared = text.split("Binaries")[1].split()
+            assert [v for v in declared if v.startswith("y_")] == [f"y_{i}" for i in range(1, inst.n)]
+        for text in texts + [export_umin_milp(inst, mats)]:
+            assert "y_0" not in text.split(), trial
 
 
 def test_lp_structure_basics():
@@ -175,6 +190,18 @@ def test_import_round_trip_multi(tmp_path):
     sol = import_milp_solution(values, inst, mats)
     assert sol.variant is Variant.MULTI
     assert sol.drone_of == {0: 0}
+
+
+@pytest.mark.parametrize("y_0", ["y_0 1", "y_0 0"])
+def test_import_reads_a_y_0_that_changes_nothing(tmp_path, y_0):
+    # the model declares no y_0, but a value file that sets one still imports
+    inst, mats = _m1_instance()
+    plain = tmp_path / "plain.sol"
+    plain.write_text("x_0_1 1\nx_1_2 1\ny_1 1\nz_1_0 1\n")
+    values = tmp_path / "values.sol"
+    values.write_text(f"{y_0}\n" + plain.read_text())
+    sol = import_milp_solution(values, inst, mats)
+    assert sol.canonical_json() == import_milp_solution(plain, inst, mats).canonical_json()
 
 
 def test_import_empty_plan(tmp_path):
