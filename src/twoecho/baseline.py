@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .exact import _closing, _held_karp, _popcount_layers, _tour
@@ -48,6 +49,10 @@ def solve_tsp(points, speed: float) -> TspResult:
     n = len(points)
     if n == 0:
         raise ValueError("need at least one point")
+    if not 0 < speed < math.inf:
+        raise ValueError(f"speed must be positive and finite, got {speed}")
+    if not all(math.isfinite(c) for p in points for c in p):
+        raise ValueError("every point needs finite coordinates")
     if n == 1:
         return TspResult((0,), 0.0, True)
     t = truck_times(points, speed)  # Python floats, so no numpy scalar reaches the result
@@ -66,8 +71,8 @@ def solve_tsp(points, speed: float) -> TspResult:
 
 def gap_percent(tsp_obj: float, obj: float) -> float:
     """Percentage of the truck-only completion time saved by using drones."""
-    if tsp_obj <= 0:
-        raise ValueError("TSP objective must be positive")
+    if not 0 < tsp_obj < math.inf:
+        raise ValueError(f"TSP objective must be positive and finite, got {tsp_obj}")
     return 100.0 * (tsp_obj - obj) / tsp_obj
 
 

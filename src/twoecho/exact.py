@@ -65,13 +65,7 @@ class ExactResult:
 
 # --- minimum-makespan trip packing --------------------------------------------
 
-# Results kept for the most recent distinct packings. One instance at the
-# default limits (8 nodes, 8 customers) asks for at most 7 * 2**8 of them;
-# the bound keeps a long-lived process from growing without limit.
-PACK_CACHE_SIZE = 4096
 
-
-@functools.lru_cache(maxsize=PACK_CACHE_SIZE)
 def minmax_packing(trips: tuple[float, ...], drones: int) -> tuple[float, tuple[int, ...]]:
     """Exact min-max split of round trips over identical drones.
 
@@ -259,6 +253,7 @@ def solve_exact(
     waits = [0.0] * n
     trips_at: list[list[float]] = [[] for _ in range(n)]
     assigned = [0] * m
+    packing = functools.cache(minmax_packing)  # this solve's memo, gone when it returns
 
     def dfs(pos, empties, total_wait):
         # reads the subset the loop below is at: mask, tour_cost, cands, order
@@ -287,7 +282,7 @@ def solve_exact(
                 # a drone per flight: the stop waits for its longest flight
                 new_wait = old_wait if old_wait >= tk else tk
             else:
-                new_wait = minmax_packing(tuple(sorted(here, reverse=True)), u)[0]
+                new_wait = packing(tuple(sorted(here, reverse=True)), u)[0]
             waits[i] = new_wait
             assigned[k] = i
             dfs(pos + 1, new_empties, total_wait + new_wait - old_wait)
@@ -319,7 +314,7 @@ def solve_exact(
             by_node.setdefault(i, []).append(k)
         for i, ks in by_node.items():
             ks.sort(key=lambda k: (-trip[i][k], k))  # longest trip first, as minmax_packing takes them
-            _, lanes = minmax_packing(tuple(trip[i][k] for k in ks), u)
+            _, lanes = packing(tuple(trip[i][k] for k in ks), u)
             drone_of.update(zip(ks, lanes))
     sol = Solution(variant, tour, assignment, drone_of)
     evaluate(sol, inst, mats)

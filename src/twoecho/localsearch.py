@@ -158,7 +158,6 @@ def _stop_operator(at_stop):
             clean[i] = stamp[i]
         return None
 
-    operator.at_stop = at_stop
     return operator
 
 

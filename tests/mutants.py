@@ -58,14 +58,22 @@ MUTANTS = (
     Mutant("re_assignment1_rem_gate_1e-5", LS,
            "if need <= IMPROVE_EPS:\n                continue  # the target",
            "if need <= 1e-5:\n                continue  # the target"),
+    Mutant("re_assignment1_rem_gate_1e-3", LS,
+           "if need <= IMPROVE_EPS:\n                continue  # the target",
+           "if need <= 1e-3:\n                continue  # the target"),
     Mutant("re_assignment1_delta_gate_1e-3", LS,
            "if delta >= -IMPROVE_EPS:\n                    continue  # the whole",
            "if delta >= -1e-3:\n                    continue  # the whole"),
     Mutant("re_assignment2_rem_gate_1e-5", LS,
            "if need <= IMPROVE_EPS:\n                        continue  # the growth",
            "if need <= 1e-5:\n                        continue  # the growth"),
+    Mutant("re_assignment2_rem_gate_1e-3", LS,
+           "if need <= IMPROVE_EPS:\n                        continue  # the growth",
+           "if need <= 1e-3:\n                        continue  # the growth"),
     Mutant("zigzag_assignment_gate_1e-5", LS,
            "if di >= -IMPROVE_EPS:", "if di >= -1e-5:"),
+    Mutant("zigzag_assignment_gate_1e-3", LS,
+           "if di >= -IMPROVE_EPS:", "if di >= -1e-3:"),
     # the slack gates, which skip a target without costing the move
     Mutant("re_assignment1_slack_gate_1e-5", LS,
            "if trip[j][k] - slack[j] >= need or", "if trip[j][k] - slack[j] >= need - 1e-5 or"),
@@ -75,6 +83,14 @@ MUTANTS = (
            "if tj2 - slack[j] >= need:", "if tj2 - slack[j] >= need - 1e-5:"),
     Mutant("zigzag_assignment_slack_gate_1e-5", LS,
            "if tk - slack[i2] >= need or", "if tk - slack[i2] >= need - 1e-5 or"),
+    Mutant("re_assignment1_slack_gate_1e-3", LS,
+           "if trip[j][k] - slack[j] >= need or", "if trip[j][k] - slack[j] >= need - 1e-3 or"),
+    Mutant("re_assignment2_slack_gate_first_1e-3", LS,
+           "if tj1 - slack[j] >= need or", "if tj1 - slack[j] >= need - 1e-3 or"),
+    Mutant("re_assignment2_slack_gate_second_1e-3", LS,
+           "if tj2 - slack[j] >= need:", "if tj2 - slack[j] >= need - 1e-3:"),
+    Mutant("zigzag_assignment_slack_gate_1e-3", LS,
+           "if tk - slack[i2] >= need or", "if tk - slack[i2] >= need - 1e-3 or"),
     Mutant("slack_unrefreshed", LS,
            "        self.slack[i] = wait - least if len(self.cust_at[i]) < self.cap else FULL\n", ""),
     Mutant("full_stop_slack_zero", LS, "else FULL\n", "else 0.0\n"),
@@ -100,6 +116,8 @@ MUTANTS = (
            "waits[i] = max(waits[i], sum(flights, 0.0))", "waits[i] = max(waits[i], max(flights))"),
     Mutant("construction_edits_shared_load_row", "src/twoecho/construct.py",
            "            self.loads[i] = [0.0] * self.inst.num_drones\n", ""),
+    Mutant("construction_edits_shared_arc_lists", "src/twoecho/construct.py",
+           "first = len(tour) == 1", "first = False"),
     Mutant("exact_prune_1e-5", EX,
            "if tour_cost + total_wait >= best_obj:", "if tour_cost + total_wait >= best_obj - 1e-5:"),
     Mutant("exact_subset_prune_1e-5", EX,
@@ -114,6 +132,8 @@ MUTANTS = (
            "for sites in mats.v_serve:\n        masks", "for sites in mats.v_serve[1:]:\n        masks"),
     Mutant("exact_no_customers_floor_1", EX,
            "if m else 0 :]", "if m else 1 :]"),
+    Mutant("exact_packing_without_memo", EX,
+           "packing = functools.cache(minmax_packing)", "packing = minmax_packing"),
     Mutant("held_karp_own_column", EX,
            "np.take(dp, sel ^ (1 << j), axis=1)", "np.take(dp, sel, axis=1)"),
     Mutant("random_blocks_drop_carry", "src/twoecho/construct.py",

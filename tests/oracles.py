@@ -367,7 +367,7 @@ def coherence_errors(cache):
             errors.append("objective differs from evaluate")
         fresh = type(cache)(sol, cache.inst, cache.mats)
         for name, clean in cache.clean.items():
-            at_stop = getattr(type(cache), name).at_stop
+            at_stop = getattr(type(cache), name).__wrapped__
             errors += [f"{name} marked stop {i} clean but has a move there" for i in cache.tour[1:]
                        if clean[i] == cache.stamp[i] and at_stop(fresh, i) is not None]
     return errors

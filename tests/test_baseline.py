@@ -90,6 +90,30 @@ def test_gap_examples_from_published_rows():
         gap_percent(0.0, 1.0)
 
 
+SQUARE = [(0.0, 0.0), (0.0, 10.0), (10.0, 10.0), (10.0, 0.0)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_tsp(SQUARE, 0.0),
+    lambda: solve_tsp(SQUARE, -40.0),
+    lambda: solve_tsp(SQUARE, float("nan")),
+    lambda: solve_tsp(SQUARE, float("inf")),
+    lambda: solve_tsp(SQUARE[:3] + [(float("nan"), 0.0)], 40.0),
+    lambda: solve_tsp(SQUARE[:3] + [(float("inf"), 0.0)], 40.0),
+    lambda: solve_tsp([(float("nan"), 0.0)], 40.0),
+    lambda: gap_percent(float("nan"), 1.0),
+    lambda: gap_percent(-1.0, 1.0),
+    lambda: gap_percent(float("inf"), 1.0),
+], ids=["speed_zero", "speed_negative", "speed_nan", "speed_inf", "point_nan", "point_inf",
+        "single_point_nan", "gap_nan", "gap_negative", "gap_inf"])
+def test_baseline_refuses_values_it_cannot_price(call):
+    # none of these has a price: a NaN cost breaks the Held–Karp read-back, a
+    # negative or infinite speed gives a negative or zero tour, and a gap needs
+    # a positive, finite tour to divide by
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_gap_reproduces_every_published_row():
     with open(DATA) as f:
         rows = list(csv.DictReader(f))

@@ -190,16 +190,25 @@ def test_proof_reports_search_effort():
     assert res.proof.assignments >= 1
 
 
-def test_packing_cache_stays_within_its_bound():
-    from twoecho.exact import PACK_CACHE_SIZE
+def test_each_solve_packs_a_stop_once_and_keeps_nothing_for_the_next(monkeypatch):
+    # the search packs the same stop's trips many times over (167 packings of
+    # 28 distinct keys here); a solve computes each once, and a second solve
+    # computes them all again, as nothing is kept between solves
+    keys = []
 
-    expected = minmax_packing((0.8, 0.6, 0.5), 2)
-    for i in range(PACK_CACHE_SIZE + 50):
-        minmax_packing((1.0 + i, 0.5), 2)
-    info = minmax_packing.cache_info()
-    assert info.maxsize == PACK_CACHE_SIZE
-    assert info.currsize <= PACK_CACHE_SIZE
-    assert minmax_packing((0.8, 0.6, 0.5), 2) == expected
+    def counting(trips, drones):
+        keys.append((trips, drones))
+        return minmax_packing(trips, drones)
+
+    monkeypatch.setattr(exact, "minmax_packing", counting)
+    inst = generate(GenConfig(d=20, n_truck=8, m_customers=8, seed=1)).replaced(num_drones=2)
+    mats = build_time_matrices(inst)
+    first = solve_exact(inst, mats, Variant.MULTI)
+    calls = len(keys)
+    assert calls and len(set(keys)) == calls
+    second = solve_exact(inst, mats, Variant.MULTI)
+    assert keys[calls:] == keys[:calls]
+    assert second.objective == first.objective
 
 
 def test_exact_tour_is_the_reference_closed_tour_over_its_stops():

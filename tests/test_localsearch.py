@@ -310,8 +310,9 @@ def test_within_stop_operators_skip_only_stops_without_moves():
     # a within-stop operator skips a stop whose stamp has not changed since it
     # last found nothing there; after every move of a whole multi-trip search,
     # by any operator, each stop so marked must have no move in a fresh cache
+    # (functools.wraps leaves each operator's at_stop as its __wrapped__)
     within_stop = [name for name in MULTI_TRIP_OPERATORS
-                   if hasattr(getattr(DeltaCache, name), "at_stop")]
+                   if hasattr(getattr(DeltaCache, name), "__wrapped__")]
     assert len(within_stop) == 6
     rng = np.random.default_rng(31)
     moves = marked = 0
@@ -384,7 +385,7 @@ def test_no_within_stop_move_at_a_stop_at_its_floor(stop):
     assert cache._at_floor(1) == at_floor
     if at_floor:
         for name in MULTI_TRIP_OPERATORS:
-            at_stop = getattr(getattr(DeltaCache, name), "at_stop", None)
+            at_stop = getattr(getattr(DeltaCache, name), "__wrapped__", None)
             if at_stop is not None:
                 assert at_stop(cache, 1) is None, name
 
